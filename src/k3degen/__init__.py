@@ -41,18 +41,16 @@ from .dualcomplex import (
     DeltaComplex,
     InvalidComplex,
     NonOrientable,
-    is_sphere_triangulation,
     orient,
     orientation_action,
+    sphere_failure,
 )
 from .elliptic import (
     FiberConfiguration,
     ImpossibleConfiguration,
     KodairaFiber,
-    check_k3_config,
     component_count,
     euler_number,
-    trivial_lattice_rank,
 )
 from .lattice import (
     Lattice,

@@ -23,7 +23,7 @@ from .dualcomplex import (
     orientation_action,
 )
 from .elliptic import FiberConfiguration, ImpossibleConfiguration
-from .sncfiber import MissingBetti, NotKulikov, SNCSurface, classify, crosscheck, e1_page, grw_dims
+from .sncfiber import MissingBetti, NotKulikov, SNCSurface, crosscheck, e1_page, grw_dims
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -60,22 +60,22 @@ def _summary(text: str) -> None:
 
 
 def _cmd_classify_fiber(args) -> int:
-    payload = _read_payload(args.payload)
-    surface = SNCSurface.from_json_dict(payload)
+    surface = SNCSurface.from_json_dict(_read_payload(args.payload))
     inputs = surface.to_json_dict()
     try:
-        t = classify(surface)
+        report = crosscheck(surface)
     except NotKulikov as exc:
         _emit("classify-fiber", inputs, {"error": {"constraint": "NotKulikov", "detail": str(exc)}})
         _summary(f"not a Kulikov fiber: {exc}")
         return EXIT_CONSTRAINT
+    t = report.kulikov_type
     result = {"type": str(t), "grw": list(grw_dims(t).dims)}
     if all(c.b2 is not None for c in surface.components):
         grid = e1_page(surface)
         result["e1"] = [
             {"p": p, "dims": [grid[(p, q)] for q in range(5)]} for p in range(-2, 3)
         ]
-    result["crosscheck"] = crosscheck(surface).to_json_dict()
+    result["crosscheck"] = report.to_json_dict()
     _emit("classify-fiber", inputs, result)
     _summary(f"Type {t}, grw = {result['grw']}")
     return EXIT_OK
@@ -98,23 +98,10 @@ def _cmd_allowed_types(args) -> int:
     return EXIT_OK
 
 
-_SETTING_FACTORY = {
-    "char0": lambda p: autorders.char0(),
-    "liftable": autorders.liftable,
-    "finite-height": autorders.finite_height,
-    "finite-field": autorders.finite_field,
-}
-
-
 def _cmd_charpoly(args) -> int:
-    if args.setting == "char0":
-        if args.p is not None:
-            raise ValueError("--p is only valid in a positive-characteristic setting")
-        setting = autorders.char0()
-    else:
-        if args.p is None:
-            raise ValueError(f"setting {args.setting!r} requires --p")
-        setting = _SETTING_FACTORY[args.setting](args.p)
+    if args.setting != "char0" and args.p is None:
+        raise ValueError(f"setting {args.setting!r} requires --p")
+    setting = autorders.CharSetting(args.setting.replace("-", "_"), args.p)
     candidates = autorders.admissible_transcendental_charpolys(
         args.m, setting, args.t_rank, rank_cap=args.rank_cap
     )
@@ -267,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("charpoly", help="admissible transcendental characteristic polynomials")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--setting", choices=sorted(_SETTING_FACTORY), default="char0")
+    p.add_argument("--setting", choices=("char0", "finite-field", "finite-height", "liftable"), default="char0")
     p.add_argument("--p", type=int, help="residue characteristic (positive-characteristic settings)")
     p.add_argument("--t-rank", type=int, required=True, dest="t_rank")
     p.add_argument("--rank-cap", type=int, default=autorders.DEFAULT_RANK_CAP, dest="rank_cap")

@@ -18,7 +18,7 @@ from . import autorders, degeneration, lattice
 from .cyclotomic import CycloFactorization, bounded_orders, factor_into_cyclotomics
 from .dualcomplex import ComplexAutomorphism, DeltaComplex, orientation_action
 from .elliptic import FiberConfiguration
-from .sncfiber import KulikovType, SNCSurface, classify, crosscheck, grw_dims
+from .sncfiber import KulikovType, SNCSurface, crosscheck, grw_dims
 
 ENV_VAR = "K3DEGEN_FIXTURES"
 
@@ -52,14 +52,13 @@ def _check_grw_table(data):
 
 
 def _check_classify_fiber(data):
-    surface = SNCSurface.from_json_dict(data["surface"])
-    t = classify(surface)
+    report = crosscheck(SNCSurface.from_json_dict(data["surface"]))
+    t = report.kulikov_type
     if str(t) != data["expect"]["type"]:
         return False, f"classified {t}, expected {data['expect']['type']}"
     dims = list(grw_dims(t).dims)
     if dims != data["expect"]["grw"]:
         return False, f"grw {dims}, expected {data['expect']['grw']}"
-    report = crosscheck(surface)
     if not report.all_passed:
         failed = [e.name for e in report.entries if not e.passed]
         return False, f"crosscheck failed: {failed}"

@@ -139,7 +139,9 @@ def combine(m=None, e=None, h=None, residue_char=None) -> Decision:
     """
     if m is None and e is None and h is None:
         raise ValueError("at least one of m, e, h is required")
-    if residue_char is not None and residue_char == 2:
+    if residue_char is not None and not is_prime(residue_char):
+        raise ValueError(f"residue characteristic must be a prime, got {residue_char}")
+    if residue_char == 2:
         return Decision(
             frozenset(),
             reasons=("residue characteristic 2 is outside the hypotheses of the order constraint",),

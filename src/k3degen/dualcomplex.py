@@ -65,12 +65,22 @@ class DeltaComplex:
             raise InvalidComplex("repeated vertex id")
         vertex_set = set(self.vertices)
 
+        # incidence, indexed once in flat lists (one list per cell, no tuple per entry):
+        # edge -> glued sides [tid, i, ...]; vertex -> edge-ends [eid, end, ...]
+        # and corner arcs [in eid, in end, out eid, out end, ...]
+        self._sides = {}
+        self._ends = {v: [] for v in self.vertices}
+        self._arcs = {v: [] for v in self.vertices}
+
         self.edges = {}
         for eid, pair in dict(edges).items():
             a, b = pair
             if a not in vertex_set or b not in vertex_set:
                 raise InvalidComplex(f"edge {eid!r} references an unknown vertex")
-            self.edges[eid] = (a, b)
+            self.edges[eid] = tuple(pair)
+            self._sides[eid] = []
+            self._ends[a] += (eid, 0)
+            self._ends[b] += (eid, 1)
 
         self.triangles = {}
         self.triangle_signs = {}
@@ -92,17 +102,19 @@ class DeltaComplex:
             )
             self.triangles[tid] = (verts, tri_edges)
             self.triangle_signs[tid] = resolved
+            for i in range(3):
+                self._sides[tri_edges[i]] += (tid, i)
+                # side i-1 arrives at verts[i], side i leaves it
+                j = (i - 1) % 3
+                self._arcs[verts[i]] += (tri_edges[j], 1 if resolved[j] == 1 else 0,
+                                         tri_edges[i], 0 if resolved[i] == 1 else 1)
 
     # -- incidence helpers -------------------------------------------------
 
     def sides_of_edge(self, eid):
         """All (triangle id, side index) pairs glued to an edge."""
-        out = []
-        for tid, (_, tri_edges) in self.triangles.items():
-            for i, e in enumerate(tri_edges):
-                if e == eid:
-                    out.append((tid, i))
-        return out
+        flat = self._sides.get(eid, ())
+        return list(zip(flat[::2], flat[1::2]))
 
     def counts(self) -> tuple[int, int, int]:
         return len(self.vertices), len(self.edges), len(self.triangles)
@@ -167,28 +179,14 @@ class DeltaComplex:
 
     def _link_is_circle(self, v) -> bool:
         # Link graph at v: nodes are edge-ends at v, arcs are triangle corners.
-        nodes = set()
-        for eid, (a, b) in self.edges.items():
-            if a == v:
-                nodes.add((eid, 0))
-            if b == v:
-                nodes.add((eid, 1))
-        arcs = []
-        for tid, (verts, tri_edges) in self.triangles.items():
-            signs = self.triangle_signs[tid]
-            for i in range(3):
-                if verts[i] != v:
-                    continue
-                # side i-1 arrives at v, side i leaves v
-                j = (i - 1) % 3
-                incoming = (tri_edges[j], 1 if signs[j] == 1 else 0)
-                outgoing = (tri_edges[i], 0 if signs[i] == 1 else 1)
-                arcs.append((incoming, outgoing))
-        if not nodes or len(arcs) != len(nodes):
+        ends, arcs = self._ends.get(v, ()), self._arcs.get(v, ())
+        if not ends or len(arcs) != 2 * len(ends):
             return False
+        nodes = list(zip(ends[::2], ends[1::2]))
         degree = {n: 0 for n in nodes}
         adjacency = {n: [] for n in nodes}
-        for x, y in arcs:
+        for k in range(0, len(arcs), 4):
+            x, y = (arcs[k], arcs[k + 1]), (arcs[k + 2], arcs[k + 3])
             if x not in degree or y not in degree:
                 return False
             degree[x] += 1
@@ -238,47 +236,31 @@ class DeltaComplex:
         return cls(vertices, edges, triangles)
 
 
-class SphereCheck:
-    """Outcome of sphere recognition: truthy iff all conditions hold."""
-
-    __slots__ = ("ok", "reason")
-
-    def __init__(self, ok, reason=None):
-        self.ok = ok
-        self.reason = reason
-
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        return f"SphereCheck(ok={self.ok}, reason={self.reason!r})"
-
-
-def is_sphere_triangulation(c: DeltaComplex) -> SphereCheck:
-    """Decide whether the complex triangulates the 2-sphere.
+def sphere_failure(c: DeltaComplex):
+    """Why the complex does not triangulate the 2-sphere, or None if it does.
 
     Checks, in order: nonempty with 2-cells, connected, every edge on
     exactly two triangle sides, every vertex link a single circle,
     orientable, Euler characteristic 2. The first failure is reported.
     """
     if not c.vertices or not c.triangles:
-        return SphereCheck(False, "empty complex or no triangles")
+        return "empty complex or no triangles"
     if not c.is_connected():
-        return SphereCheck(False, "not connected")
+        return "not connected"
     for eid in c.edges:
         n = len(c.sides_of_edge(eid))
         if n != 2:
-            return SphereCheck(False, f"edge {eid!r} lies on {n} triangle sides, expected 2")
+            return f"edge {eid!r} lies on {n} triangle sides, expected 2"
     for v in c.vertices:
         if not c._link_is_circle(v):
-            return SphereCheck(False, f"link of vertex {v!r} is not a single circle")
+            return f"link of vertex {v!r} is not a single circle"
     try:
         orient(c)
     except NonOrientable:
-        return SphereCheck(False, "not orientable")
+        return "not orientable"
     if c.euler_characteristic() != 2:
-        return SphereCheck(False, f"Euler characteristic is {c.euler_characteristic()}, expected 2")
-    return SphereCheck(True)
+        return f"Euler characteristic is {c.euler_characteristic()}, expected 2"
+    return None
 
 
 def orient(c: DeltaComplex) -> dict:
@@ -292,22 +274,19 @@ def orient(c: DeltaComplex) -> dict:
         raise InvalidComplex("nothing to orient: no triangles")
     if not c.is_connected():
         raise InvalidComplex("orientation requires a connected complex")
-    pairings = []
+    neighbors = {tid: [] for tid in c.triangles}  # flat: [neighbor, relative sign, ...]
     for eid in c.edges:
         sides = c.sides_of_edge(eid)
         if len(sides) != 2:
             raise InvalidComplex(
                 f"edge {eid!r} lies on {len(sides)} triangle sides, expected 2"
             )
-        pairings.append(sides)
-
-    neighbors = {tid: [] for tid in c.triangles}
-    for (t1, i1), (t2, i2) in pairings:
+        (t1, i1), (t2, i2) = sides
         s1 = c.triangle_signs[t1][i1]
         s2 = c.triangle_signs[t2][i2]
         # or[t1]*s1 + or[t2]*s2 = 0  <=>  or[t2] = -or[t1]*s1*s2
-        neighbors[t1].append((t2, -s1 * s2))
-        neighbors[t2].append((t1, -s1 * s2))
+        neighbors[t1] += (t2, -s1 * s2)
+        neighbors[t2] += (t1, -s1 * s2)
 
     orientation = {}
     seed = next(iter(c.triangles))
@@ -315,7 +294,8 @@ def orient(c: DeltaComplex) -> dict:
     queue = deque([seed])
     while queue:
         t = queue.popleft()
-        for u, rel in neighbors[t]:
+        flat = neighbors[t]
+        for u, rel in zip(flat[::2], flat[1::2]):
             expected = orientation[t] * rel
             if u in orientation:
                 if orientation[u] != expected:
@@ -325,13 +305,7 @@ def orient(c: DeltaComplex) -> dict:
                 queue.append(u)
     if len(orientation) != len(c.triangles):
         raise InvalidComplex("triangles not connected through shared edges")
-
-    # the signed 2-chain must be a cycle
-    boundary = {}
-    for tid, (_, tri_edges) in c.triangles.items():
-        for i, eid in enumerate(tri_edges):
-            boundary[eid] = boundary.get(eid, 0) + orientation[tid] * c.triangle_signs[tid][i]
-    assert all(x == 0 for x in boundary.values())
+    # every pairing was set or checked above, so the signed 2-chain is a cycle
     return orientation
 
 

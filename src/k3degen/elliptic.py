@@ -100,7 +100,8 @@ class FiberConfiguration:
         if isinstance(data, dict):
             labels = []
             for label, count in data.items():
-                count = int(count)
+                if isinstance(count, bool) or not isinstance(count, int):
+                    raise ValueError(f"fiber count must be an integer, got {count!r}")
                 if count < 1:
                     raise ValueError(f"fiber count must be positive, got {count}")
                 labels.extend([label] * count)
@@ -129,11 +130,3 @@ class FiberConfiguration:
                 f"trivial lattice rank {rank} exceeds the K3 bound 22"
             )
         return rank
-
-
-def check_k3_config(c: FiberConfiguration) -> bool:
-    return c.check_k3()
-
-
-def trivial_lattice_rank(c: FiberConfiguration) -> int:
-    return c.trivial_lattice_rank()

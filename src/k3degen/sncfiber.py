@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .dualcomplex import DeltaComplex, is_sphere_triangulation
+from .dualcomplex import DeltaComplex, sphere_failure
 
 KINDS = ("rational", "elliptic_ruled", "k3")
 
@@ -35,7 +35,14 @@ class KulikovType(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+def _require_int(cell, cell_id, field, value):
+    # JSON true and 2.0 are not integers, however Python compares them
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{cell} {cell_id!r}: {field} must be an integer, got {value!r}")
+
+
+# slots: a fiber holds one instance per cell, so no per-instance __dict__
+@dataclass(frozen=True, slots=True)
 class Component:
     id: object
     b1: int
@@ -43,13 +50,16 @@ class Component:
     kind: str | None = None
 
     def __post_init__(self):
+        _require_int("component", self.id, "b1", self.b1)
+        if self.b2 is not None:
+            _require_int("component", self.id, "b2", self.b2)
         if self.b1 < 0 or (self.b2 is not None and self.b2 < 0):
             raise ValueError(f"component {self.id!r}: Betti numbers must be nonnegative")
         if self.kind is not None and self.kind not in KINDS:
             raise ValueError(f"component {self.id!r}: unknown kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DoubleCurve:
     id: object
     components: tuple
@@ -58,11 +68,12 @@ class DoubleCurve:
     def __post_init__(self):
         if len(self.components) != 2 or self.components[0] == self.components[1]:
             raise ValueError(f"double curve {self.id!r} must join two distinct components")
+        _require_int("double curve", self.id, "genus", self.genus)
         if self.genus < 0:
             raise ValueError(f"double curve {self.id!r}: genus must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TriplePoint:
     id: object
     curves: tuple
@@ -96,7 +107,7 @@ class SNCSurface:
             if any(c not in comp_set for c in d.components):
                 raise ValueError(f"double curve {d.id!r} references an unknown component")
 
-        self._triangles = {}
+        triangles = {}
         for t in self.triple_points:
             if any(did not in curves_by_id for did in t.curves):
                 raise ValueError(f"triple point {t.id!r} references an unknown double curve")
@@ -114,15 +125,12 @@ class SNCSurface:
                 raise ValueError(f"triple point {t.id!r}: incident components are not distinct")
             # shared[i] is common to curves i and i+1; curve 0 joins shared[2], shared[0]
             v0, v1, v2 = shared[2], shared[0], shared[1]
-            self._triangles[t.id] = ((v0, v1, v2), tuple(t.curves))
+            triangles[t.id] = ((v0, v1, v2), tuple(t.curves))
+        self._complex = DeltaComplex(comp_ids, {d.id: d.components for d in self.double_curves}, triangles)
 
     def dual_complex(self) -> DeltaComplex:
         """Vertex per component, edge per double curve, triangle per triple point."""
-        return DeltaComplex(
-            [c.id for c in self.components],
-            {d.id: d.components for d in self.double_curves},
-            self._triangles,
-        )
+        return self._complex
 
     # -- serialization -----------------------------------------------------
 
@@ -270,9 +278,9 @@ def _type3_failure(s: SNCSurface):
     for d in s.double_curves:
         if d.genus != 0:
             return f"double curve {d.id!r} has genus {d.genus}, expected 0"
-    check = is_sphere_triangulation(s.dual_complex())
-    if not check:
-        return f"dual complex is not a sphere triangulation: {check.reason}"
+    reason = sphere_failure(s.dual_complex())
+    if reason is not None:
+        return f"dual complex is not a sphere triangulation: {reason}"
     return None
 
 

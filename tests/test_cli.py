@@ -69,6 +69,17 @@ class TestClassifyFiber:
         path.write_text("{not json")
         code, out, _ = invoke(capsys, ["classify-fiber", str(path)])
         assert code == 1 and out == ""
+        # JSON booleans and floats are not integers, even where Python compares them as such
+        chain = [{"id": "A", "b1": 0}, {"id": "B", "b1": 0}]
+        for surface in (
+            {"components": [{"id": "X", "b1": True, "b2": 22}], "double_curves": []},
+            {"components": [{"id": "X", "b1": 0.0, "b2": 22.0}], "double_curves": []},
+            {"components": [{"id": "X", "b1": 0, "b2": 22.0}], "double_curves": []},
+            {"components": chain, "double_curves": [{"id": "C", "components": ["A", "B"], "genus": 1.0}]},
+        ):
+            path = payload_file(tmp_path, "typed.json", surface)
+            code, out, _ = invoke(capsys, ["classify-fiber", path])
+            assert code == 1 and out == ""
 
     def test_deterministic_output(self, capsys, tmp_path):
         path = payload_file(tmp_path, "tetra.json", TETRA_SURFACE)
@@ -104,6 +115,11 @@ class TestAllowedTypes:
     def test_no_constraint_is_bad_input(self, capsys):
         code, _, err = invoke(capsys, ["allowed-types"])
         assert code == 1 and "at least one" in err
+
+    def test_non_prime_char_is_bad_input(self, capsys):
+        for char in ("0", "1", "4"):
+            code, out, err = invoke(capsys, ["allowed-types", "--m", "4", "--char", char])
+            assert code == 1 and out == "" and "prime" in err
 
 
 class TestCharpolyAndOrders:

@@ -6,10 +6,8 @@ from k3degen.elliptic import (
     FiberConfiguration,
     ImpossibleConfiguration,
     KodairaFiber,
-    check_k3_config,
     component_count,
     euler_number,
-    trivial_lattice_rank,
 )
 from k3degen.lattice import direct_sum, hyperbolic_plane, root_lattice_a
 
@@ -74,31 +72,31 @@ class TestConfigurations:
     def test_order11_generic_member(self):
         c = FiberConfiguration.from_json({"II": 1, "I1": 22})
         assert c.euler_sum() == 24
-        assert check_k3_config(c)
-        assert trivial_lattice_rank(c) == 2 == hyperbolic_plane().rank()
+        assert c.check_k3()
+        assert c.trivial_lattice_rank() == 2 == hyperbolic_plane().rank()
 
     def test_order11_special_member(self):
         c = FiberConfiguration.from_json({"II": 12})
-        assert check_k3_config(c)
-        assert trivial_lattice_rank(c) == 2
+        assert c.check_k3()
+        assert c.trivial_lattice_rank() == 2
 
     def test_order11_boundary_member(self):
         c = FiberConfiguration.from_json({"II": 1, "I1": 11, "I11": 1})
-        assert check_k3_config(c)
-        rank = trivial_lattice_rank(c)
+        assert c.check_k3()
+        rank = c.trivial_lattice_rank()
         assert rank == 12 == direct_sum(hyperbolic_plane(), root_lattice_a(10)).rank()
 
     def test_not_k3(self):
-        assert not check_k3_config(config("II"))
+        assert not config("II").check_k3()
 
     def test_resolved_wild_fiber_rank(self):
         # an additive fiber of II* type contributes 8 to the rank; in the
         # tame model this configuration overshoots Euler number 24, which is
         # expected for the wild characteristic-2 member it comes from
         c = FiberConfiguration.from_json({"II*": 1, "II": 1, "I1": 21})
-        assert trivial_lattice_rank(c) == 10
+        assert c.trivial_lattice_rank() == 10
         assert c.euler_sum() == 33
-        assert not check_k3_config(c)
+        assert not c.check_k3()
 
     def test_multiset_order_irrelevant(self):
         rng = random.Random(3)
@@ -106,7 +104,7 @@ class TestConfigurations:
         for _ in range(5):
             rng.shuffle(labels)
             c = FiberConfiguration(labels)
-            assert c.euler_sum() == 24 and trivial_lattice_rank(c) == 12
+            assert c.euler_sum() == 24 and c.trivial_lattice_rank() == 12
 
     def test_from_json_list_and_dict_agree(self):
         a = FiberConfiguration.from_json(["II", "I1", "I1"])
@@ -114,14 +112,15 @@ class TestConfigurations:
         assert a.fibers == b.fibers
 
     def test_from_json_rejects_bad_counts(self):
-        with pytest.raises(ValueError):
-            FiberConfiguration.from_json({"II": 0})
+        for count in (0, 2.5, 2.0, True):
+            with pytest.raises(ValueError):
+                FiberConfiguration.from_json({"II": count})
 
     def test_rank_bound_enforced(self):
         c = config("I24")
-        assert c.euler_sum() == 24 and check_k3_config(c)
+        assert c.euler_sum() == 24 and c.check_k3()
         with pytest.raises(ImpossibleConfiguration):
-            trivial_lattice_rank(c)
+            c.trivial_lattice_rank()
 
     def test_json_dict(self):
         c = FiberConfiguration.from_json({"I1": 2, "II": 1})
