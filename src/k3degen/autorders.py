@@ -27,6 +27,10 @@ DEFAULT_RANK_CAP = 21
 
 
 def is_prime(n: int) -> bool:
+    """Primality by trial division, decided for n < 2**40 only (at most
+    about 10**6 steps); larger n raise ValueError rather than run for hours."""
+    if n >= 1 << 40:
+        raise ValueError(f"primality is only decided below 2**40, got {n}")
     if n < 2:
         return False
     p = 2
@@ -102,16 +106,18 @@ def admissible_transcendental_charpolys(
         raise ValueError("m must be positive")
     if not 1 <= t_rank <= rank_cap:
         raise ValueError(f"t_rank must lie in 1..{rank_cap}, got {t_rank}")
+    p = setting.p
+    if p is not None and m % p == 0:
+        raise ValueError(f"p = {p} must not divide m = {m} in a characteristic-p setting")
+    # every index n is a multiple of m, and euler_phi(n) >= sqrt(n / 2) > t_rank
+    if m > 2 * t_rank * t_rank:
+        return []
 
     if setting.kind == CHAR0:
         phi = euler_phi(m)
         if t_rank % phi == 0:
             return [CycloFactorization({m: t_rank // phi})]
         return []
-
-    p = setting.p
-    if m % p == 0:
-        raise ValueError(f"p = {p} must not divide m = {m} in a characteristic-p setting")
 
     candidates = _power_candidates(m, p, t_rank)
     if setting.kind in (LIFTABLE, FINITE_FIELD):

@@ -102,9 +102,7 @@ def _cmd_charpoly(args) -> int:
     if args.setting != "char0" and args.p is None:
         raise ValueError(f"setting {args.setting!r} requires --p")
     setting = autorders.CharSetting(args.setting.replace("-", "_"), args.p)
-    candidates = autorders.admissible_transcendental_charpolys(
-        args.m, setting, args.t_rank, rank_cap=args.rank_cap
-    )
+    candidates = autorders.admissible_transcendental_charpolys(args.m, setting, args.t_rank)
     rows = []
     for f in candidates:
         row = {
@@ -257,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--setting", choices=("char0", "finite-field", "finite-height", "liftable"), default="char0")
     p.add_argument("--p", type=int, help="residue characteristic (positive-characteristic settings)")
     p.add_argument("--t-rank", type=int, required=True, dest="t_rank")
-    p.add_argument("--rank-cap", type=int, default=autorders.DEFAULT_RANK_CAP, dest="rank_cap")
     p.set_defaults(func=_cmd_charpoly)
 
     p = sub.add_parser("orders", help="prime-power twists or all orders under a totient bound")

@@ -49,11 +49,6 @@ class IntPolynomial:
     def is_monic(self) -> bool:
         return bool(self.coefficients) and self.coefficients[-1] == 1
 
-    def leading_coefficient(self) -> int:
-        if not self.coefficients:
-            return 0
-        return self.coefficients[-1]
-
     def evaluate(self, x: int) -> int:
         acc = 0
         for c in reversed(self.coefficients):

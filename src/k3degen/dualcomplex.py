@@ -9,8 +9,8 @@ Conventions. A triangle stores a cyclic vertex order (v0, v1, v2) and edges
 (e0, e1, e2) with side i running from v_i to v_{i+1 mod 3} along edge e_i.
 The side sign is +1 when the traversal agrees with the stored direction of
 the edge and -1 otherwise; it is inferred from the endpoints, except that a
-loop edge (equal endpoints) leaves the direction undetermined and the
-triangle must then supply explicit signs.
+loop edge at v lies only on sides from v to v, leaves the direction
+undetermined there, and the triangle must then supply explicit signs.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ class NonOrientable(Exception):
 
 def _infer_sign(edge, tail, head, explicit):
     a, b = edge
-    if a == b:
+    if a == b == tail == head:
         if explicit is None:
             raise InvalidComplex(
                 "triangle side runs along a loop edge; explicit signs are required"
@@ -123,9 +123,9 @@ class DeltaComplex:
         v, e, f = self.counts()
         return v - e + f
 
-    def is_connected(self) -> bool:
-        if not self.vertices:
-            return False
+    def component_count(self) -> int:
+        """Connected components, by union-find over the edges: each triangle's
+        corners are joined by its own sides, so triangles add nothing."""
         parent = {v: v for v in self.vertices}
 
         def find(x):
@@ -134,16 +134,9 @@ class DeltaComplex:
                 x = parent[x]
             return x
 
-        def union(x, y):
-            parent[find(x)] = find(y)
-
         for a, b in self.edges.values():
-            union(a, b)
-        for verts, _ in self.triangles.values():
-            union(verts[0], verts[1])
-            union(verts[0], verts[2])
-        roots = {find(v) for v in self.vertices}
-        return len(roots) == 1
+            parent[find(a)] = find(b)
+        return len({find(v) for v in self.vertices})
 
     # -- homology ----------------------------------------------------------
 
@@ -168,12 +161,11 @@ class DeltaComplex:
         return d1, d2
 
     def homology_dims(self) -> tuple[int, int, int]:
-        """Rational Betti numbers (h0, h1, h2) from exact boundary ranks."""
-        v, e, f = self.counts()
-        d1, d2 = self.boundary_matrices()
-        r1 = _linalg.exact_rank(d1)
-        r2 = _linalg.exact_rank(d2)
-        return v - r1, (e - r1) - r2, f - r2
+        """Rational Betti numbers (h0, h1, h2): h0 counts components (so
+        rank d1 = V - h0), h2 = T - rank d2, and h1 = h0 - chi + h2."""
+        h0 = self.component_count()
+        h2 = len(self.triangles) - _linalg.exact_rank(self.boundary_matrices()[1])
+        return h0, h0 - self.euler_characteristic() + h2, h2
 
     # -- vertex links --------------------------------------------------------
 
@@ -245,7 +237,7 @@ def sphere_failure(c: DeltaComplex):
     """
     if not c.vertices or not c.triangles:
         return "empty complex or no triangles"
-    if not c.is_connected():
+    if c.component_count() != 1:
         return "not connected"
     for eid in c.edges:
         n = len(c.sides_of_edge(eid))
@@ -272,7 +264,7 @@ def orient(c: DeltaComplex) -> dict:
     """
     if not c.triangles:
         raise InvalidComplex("nothing to orient: no triangles")
-    if not c.is_connected():
+    if c.component_count() != 1:
         raise InvalidComplex("orientation requires a connected complex")
     neighbors = {tid: [] for tid in c.triangles}  # flat: [neighbor, relative sign, ...]
     for eid in c.edges:

@@ -48,6 +48,8 @@ class KodairaFiber:
     @classmethod
     def parse(cls, label: str) -> "KodairaFiber":
         """Parse labels like "I1", "I11", "I0*", "II", "IV*"."""
+        if not isinstance(label, str):
+            raise ValueError(f"Kodaira fiber label must be a string, got {label!r}")
         label = label.strip()
         if label in _FIXED_EULER:
             return cls(label)

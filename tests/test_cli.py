@@ -171,6 +171,18 @@ class TestCharpolyAndOrders:
         result = json.loads(out)["result"]
         assert result == {"sigma0": [], "supersingular_possible": False}
 
+    def test_huge_m_answers_without_factoring(self, capsys):
+        for extra in ([], ["--setting", "liftable", "--p", "5"]):
+            argv = ["charpoly", "--m", "1000000000000000003", "--t-rank", "2"] + extra
+            code, out, _ = invoke(capsys, argv)
+            assert code == 0 and json.loads(out)["result"]["candidates"] == []
+
+    def test_huge_prime_is_bad_input(self, capsys):
+        huge = "1000000000000000003"
+        for argv in (["ss-check", "--m", "5", "--p", huge], ["allowed-types", "--m", "4", "--char", huge]):
+            code, out, err = invoke(capsys, argv)
+            assert code == 1 and out == "" and "2**40" in err
+
 
 class TestOrientCommand:
     def test_orient_json_complex(self, capsys, tmp_path):
@@ -239,6 +251,11 @@ class TestEulerCommand:
         path = payload_file(tmp_path, "fibers.json", ["II", "I1", "I1"])
         code, out, _ = invoke(capsys, ["euler", path])
         assert code == 0 and json.loads(out)["result"]["euler_sum"] == 4
+
+    def test_non_string_label_is_bad_input(self, capsys, tmp_path):
+        path = payload_file(tmp_path, "fibers.json", ["II", 3])
+        code, out, err = invoke(capsys, ["euler", path])
+        assert code == 1 and out == "" and "string" in err
 
 
 class TestLatticeCommand:

@@ -81,6 +81,12 @@ class TestConstruction:
                 {"e01": (0, 1), "e12": (1, 2), "e03": (0, 3)},
                 {"t": ((0, 1, 2), ("e01", "e12", "e03"))},
             )
+        with pytest.raises(InvalidComplex):  # loops at the wrong vertices
+            DeltaComplex(
+                ["A", "B", "C"],
+                {"L": ("A", "A"), "x": ("B", "B"), "y": ("C", "C")},
+                {"t": (("B", "C", "A"), ("L", "y", "x"), (1, 1, 1))},
+            )
 
     def test_loop_requires_explicit_sign(self):
         with pytest.raises(InvalidComplex):
@@ -137,6 +143,8 @@ class TestHomology:
             h0, h1, h2 = c.homology_dims()
             v, e, f = c.counts()
             assert h0 - h1 + h2 == v - e + f
+            r1, r2 = (oracles.frac_rank(d) for d in c.boundary_matrices())
+            assert (h0, h1, h2) == (v - r1, e - r1 - r2, f - r2)
 
     def test_boundary_of_boundary_vanishes(self):
         rng = random.Random(103)
