@@ -9,44 +9,21 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def exact_det(rows) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant requires a square matrix")
-    if n == 0:
-        return 1
+def _bareiss(rows) -> tuple[int, int]:
+    """Fraction-free elimination of an integer matrix: its rank over Q, and the
+    sign of the row swaps times the last pivot (the determinant at full rank)."""
     m = [list(map(int, r)) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def exact_rank(rows) -> int:
-    """Rank over Q of an integer matrix, by fraction-free elimination."""
-    if not rows or not rows[0]:
-        return 0
-    m = [list(map(int, r)) for r in rows]
-    nrows, ncols = len(m), len(m[0])
+    nrows, ncols = len(m), len(m[0]) if m else 0
     rank = 0
+    sign = 1
     prev = 1
     for col in range(ncols):
         pivot = next((i for i in range(rank, nrows) if m[i][col] != 0), None)
         if pivot is None:
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            sign = -sign
         for i in range(rank + 1, nrows):
             for j in range(col + 1, ncols):
                 m[i][j] = (m[i][j] * m[rank][col] - m[i][col] * m[rank][j]) // prev
@@ -55,7 +32,21 @@ def exact_rank(rows) -> int:
         rank += 1
         if rank == nrows:
             break
-    return rank
+    return rank, sign * prev
+
+
+def exact_det(rows) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("determinant requires a square matrix")
+    rank, last = _bareiss(rows)
+    return last if rank == n else 0
+
+
+def exact_rank(rows) -> int:
+    """Rank over Q of an integer matrix, by fraction-free elimination."""
+    return _bareiss(rows)[0]
 
 
 def symmetric_inertia(rows) -> tuple[int, int, int]:

@@ -9,6 +9,7 @@ on stdout with sorted keys; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -172,6 +173,8 @@ def _cmd_orient(args) -> int:
 
 
 def _cmd_euler(args) -> int:
+    if args.characteristic is not None and not autorders.is_prime(args.characteristic):
+        raise ValueError(f"characteristic must be a prime, got {args.characteristic}")
     payload = _read_payload(args.payload)
     fibers = payload["fibers"] if isinstance(payload, dict) and "fibers" in payload else payload
     config = FiberConfiguration.from_json(fibers)
@@ -231,6 +234,8 @@ def _cmd_fixtures(args) -> int:
     return EXIT_OK if passed == len(results) else EXIT_CONSTRAINT
 
 
+# one parser per process: _Parser.error looks up sys.stderr only when it reports
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="k3degen", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)

@@ -8,6 +8,7 @@ Everything here is exact: no floats, no modular shortcuts.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 
@@ -185,14 +186,28 @@ def cyclotomic_poly(m: int) -> IntPolynomial:
 
 
 def bounded_orders(bound: int) -> list[int]:
-    """All m with euler_phi(m) <= bound, sorted ascending.
+    """All m with euler_phi(m) <= bound, sorted ascending; bound <= 10**5.
 
-    The set is finite since euler_phi(m) >= sqrt(m/2), so the search stops
-    at m = 2*bound^2.
+    Every prime p | m has p - 1 <= euler_phi(m), and euler_phi is
+    multiplicative, so the orders are built depth first as products of powers
+    of the primes p <= bound + 1, pruned once the totient passes the bound.
     """
-    if bound < 1:
-        raise ValueError("bounded_orders requires bound >= 1")
-    return [m for m in range(1, 2 * bound * bound + 1) if euler_phi(m) <= bound]
+    if not 1 <= bound <= 10**5:
+        raise ValueError(f"bounded_orders requires 1 <= bound <= 100000, got {bound}")
+    primes = [p for p in range(2, bound + 2) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+    def orders(m, phi, start):
+        yield m
+        for i in range(start, len(primes)):
+            p = primes[i]
+            m_p, phi_p = m * p, phi * (p - 1)
+            if phi_p > bound:
+                break
+            while phi_p <= bound:
+                yield from orders(m_p, phi_p, i + 1)
+                m_p, phi_p = m_p * p, phi_p * p
+
+    return sorted(orders(1, 1, 0))
 
 
 class CycloFactorization:

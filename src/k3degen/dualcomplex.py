@@ -15,7 +15,7 @@ undetermined there, and the triangle must then supply explicit signs.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 
 from . import _linalg
 
@@ -28,7 +28,25 @@ class NonOrientable(Exception):
     """Raised when orientation propagation reaches a contradiction."""
 
 
+def _classes(nodes, joins):
+    """Union-find: the class representative of each node, where joins is a
+    flat list [a0, b0, a1, b1, ...] of nodes joined in pairs."""
+    parent = {x: x for x in nodes}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for k in range(0, len(joins), 2):
+        parent[find(joins[k])] = find(joins[k + 1])
+    return [find(x) for x in nodes]
+
+
 def _infer_sign(edge, tail, head, explicit):
+    if explicit is not None and (type(explicit) is not int or explicit not in (1, -1)):
+        raise InvalidComplex(f"side sign must be the integer 1 or -1, got {explicit!r}")
     a, b = edge
     if a == b == tail == head:
         if explicit is None:
@@ -65,12 +83,8 @@ class DeltaComplex:
             raise InvalidComplex("repeated vertex id")
         vertex_set = set(self.vertices)
 
-        # incidence, indexed once in flat lists (one list per cell, no tuple per entry):
-        # edge -> glued sides [tid, i, ...]; vertex -> edge-ends [eid, end, ...]
-        # and corner arcs [in eid, in end, out eid, out end, ...]
+        # incidence, indexed once: edge -> glued sides as a flat list [tid, i, ...]
         self._sides = {}
-        self._ends = {v: [] for v in self.vertices}
-        self._arcs = {v: [] for v in self.vertices}
 
         self.edges = {}
         for eid, pair in dict(edges).items():
@@ -79,8 +93,6 @@ class DeltaComplex:
                 raise InvalidComplex(f"edge {eid!r} references an unknown vertex")
             self.edges[eid] = tuple(pair)
             self._sides[eid] = []
-            self._ends[a] += (eid, 0)
-            self._ends[b] += (eid, 1)
 
         self.triangles = {}
         self.triangle_signs = {}
@@ -104,10 +116,6 @@ class DeltaComplex:
             self.triangle_signs[tid] = resolved
             for i in range(3):
                 self._sides[tri_edges[i]] += (tid, i)
-                # side i-1 arrives at verts[i], side i leaves it
-                j = (i - 1) % 3
-                self._arcs[verts[i]] += (tri_edges[j], 1 if resolved[j] == 1 else 0,
-                                         tri_edges[i], 0 if resolved[i] == 1 else 1)
 
     # -- incidence helpers -------------------------------------------------
 
@@ -126,17 +134,24 @@ class DeltaComplex:
     def component_count(self) -> int:
         """Connected components, by union-find over the edges: each triangle's
         corners are joined by its own sides, so triangles add nothing."""
-        parent = {v: v for v in self.vertices}
+        ends = [v for pair in self.edges.values() for v in pair]
+        return len(set(_classes(self.vertices, ends)))
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in self.edges.values():
-            parent[find(a)] = find(b)
-        return len({find(v) for v in self.vertices})
+    def _link_circles(self) -> Counter:
+        """Circles in each vertex link when every edge lies on two sides: the
+        classes of edge-ends that the triangle corners join. The k-th edge
+        has ends 2k (tail) and 2k + 1 (head); the corner at verts[i] joins
+        the end where side i - 1 arrives to the end where side i leaves."""
+        tail = {eid: 2 * k for k, eid in enumerate(self.edges)}
+        joins = []
+        for tid, (_, tri_edges) in self.triangles.items():
+            signs = self.triangle_signs[tid]
+            for i in range(3):  # i - 1 = -1 wraps round to side 2
+                joins += (tail[tri_edges[i - 1]] + (signs[i - 1] == 1),
+                          tail[tri_edges[i]] + (signs[i] == -1))
+        ends = [v for pair in self.edges.values() for v in pair]
+        # corners join only ends at one vertex, so each class has one owner
+        return Counter(dict(zip(_classes(range(len(ends)), joins), ends)).values())
 
     # -- homology ----------------------------------------------------------
 
@@ -166,36 +181,6 @@ class DeltaComplex:
         h0 = self.component_count()
         h2 = len(self.triangles) - _linalg.exact_rank(self.boundary_matrices()[1])
         return h0, h0 - self.euler_characteristic() + h2, h2
-
-    # -- vertex links --------------------------------------------------------
-
-    def _link_is_circle(self, v) -> bool:
-        # Link graph at v: nodes are edge-ends at v, arcs are triangle corners.
-        ends, arcs = self._ends.get(v, ()), self._arcs.get(v, ())
-        if not ends or len(arcs) != 2 * len(ends):
-            return False
-        nodes = list(zip(ends[::2], ends[1::2]))
-        degree = {n: 0 for n in nodes}
-        adjacency = {n: [] for n in nodes}
-        for k in range(0, len(arcs), 4):
-            x, y = (arcs[k], arcs[k + 1]), (arcs[k + 2], arcs[k + 3])
-            if x not in degree or y not in degree:
-                return False
-            degree[x] += 1
-            degree[y] += 1
-            adjacency[x].append(y)
-            adjacency[y].append(x)
-        if any(d != 2 for d in degree.values()):
-            return False
-        start = next(iter(nodes))
-        seen = {start}
-        stack = [start]
-        while stack:
-            for nxt in adjacency[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return len(seen) == len(nodes)
 
     # -- serialization -------------------------------------------------------
 
@@ -243,8 +228,11 @@ def sphere_failure(c: DeltaComplex):
         n = len(c.sides_of_edge(eid))
         if n != 2:
             return f"edge {eid!r} lies on {n} triangle sides, expected 2"
+    # relies on the edge check above: with every edge on two sides, every
+    # edge-end meets two corners, so each link is a disjoint union of circles
+    circles = c._link_circles()
     for v in c.vertices:
-        if not c._link_is_circle(v):
+        if circles[v] != 1:
             return f"link of vertex {v!r} is not a single circle"
     try:
         orient(c)

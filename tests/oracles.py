@@ -247,6 +247,67 @@ def vertex_symmetries(complex_: DeltaComplex):
     return out
 
 
+# -- surfaces from raw incidence data -----------------------------------------
+# edges: id -> (tail, head); triangles: id -> (vertices, edges, signs) with every
+# side sign explicit. Nothing here reads DeltaComplex's own incidence index.
+
+
+def link_is_cycle(vertex, edges, triangles) -> bool:
+    """Whether the link of a vertex is one cycle: its nodes are the edge-ends
+    at the vertex, and each triangle corner there is an arc from the end
+    where the arriving side ends to the end where the leaving side starts."""
+    nodes = [(e, end) for e, pair in edges.items() for end in (0, 1) if pair[end] == vertex]
+    adjacency = {node: [] for node in nodes}
+    for verts, tri_edges, signs in triangles.values():
+        for i in range(3):
+            if verts[i] != vertex:
+                continue
+            j = (i + 2) % 3  # side j runs from verts[j] into verts[i]
+            arrive = (tri_edges[j], 1 if signs[j] == 1 else 0)
+            leave = (tri_edges[i], 0 if signs[i] == 1 else 1)
+            adjacency[arrive].append(leave)
+            adjacency[leave].append(arrive)
+    if not nodes or any(len(arcs) != 2 for arcs in adjacency.values()):
+        return False
+    seen, stack = {nodes[0]}, [nodes[0]]
+    while stack:
+        for nxt in adjacency[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return len(seen) == len(nodes)
+
+
+def raw_homology(vertices, edges, triangles):
+    """Rational Betti numbers from boundary matrices built here, ranked by frac_rank."""
+    v_index = {v: i for i, v in enumerate(vertices)}
+    e_index = {e: i for i, e in enumerate(edges)}
+    d1 = [[0] * len(edges) for _ in vertices]
+    for e, (a, b) in edges.items():
+        d1[v_index[a]][e_index[e]] -= 1
+        d1[v_index[b]][e_index[e]] += 1
+    d2 = [[0] * len(triangles) for _ in edges]
+    for col, (_, tri_edges, signs) in enumerate(triangles.values()):
+        for e, s in zip(tri_edges, signs):
+            d2[e_index[e]][col] += s
+    r1, r2 = frac_rank(d1), frac_rank(d2)
+    return len(vertices) - r1, len(edges) - r1 - r2, len(triangles) - r2
+
+
+def is_sphere(vertices, edges, triangles) -> bool:
+    """A closed surface (every edge on two sides, every link one cycle) with
+    the rational homology of the 2-sphere."""
+    sides = {e: 0 for e in edges}
+    for _, tri_edges, _ in triangles.values():
+        for e in tri_edges:
+            sides[e] += 1
+    return (
+        all(n == 2 for n in sides.values())
+        and all(link_is_cycle(v, edges, triangles) for v in vertices)
+        and raw_homology(vertices, edges, triangles) == (1, 0, 1)
+    )
+
+
 def random_delta_complex(rng) -> DeltaComplex:
     """A random valid loop-free Delta-complex, possibly with multi-edges,
     floating edges, and isolated vertices."""

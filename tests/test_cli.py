@@ -165,6 +165,16 @@ class TestCharpolyAndOrders:
         assert invoke(capsys, ["orders"])[0] == 1
         assert invoke(capsys, ["orders", "--max-t", "5", "--phi-bound", "5"])[0] == 1
 
+    def test_orders_phi_bound_large(self, capsys):
+        code, out, _ = invoke(capsys, ["orders", "--phi-bound", "3000"])
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert len(result["orders"]) == 5832 and result["max"] == 13860
+
+    def test_orders_phi_bound_over_cap_is_bad_input(self, capsys):
+        code, out, err = invoke(capsys, ["orders", "--phi-bound", "100001"])
+        assert code == 1 and out == "" and "100000" in err
+
     def test_ss_check(self, capsys):
         code, out, _ = invoke(capsys, ["ss-check", "--m", "42", "--p", "2"])
         assert code == 0
@@ -226,6 +236,19 @@ class TestOrientCommand:
         assert code == 2
         assert json.loads(out)["result"]["error"]["constraint"] == "NonOrientable"
 
+    def test_bad_loop_sign_is_bad_input(self, capsys, tmp_path):
+        torus = {
+            "vertices": ["v"],
+            "edges": [{"id": e, "v": ["v", "v"]} for e in "abc"],
+            "triangles": [
+                {"id": "L", "edges": ["a", "b", "c"], "vertices": ["v", "v", "v"], "signs": [5, 1, -1]},
+                {"id": "U", "edges": ["c", "a", "b"], "vertices": ["v", "v", "v"], "signs": [1, -1, -1]},
+            ],
+        }
+        path = payload_file(tmp_path, "torus.json", torus)
+        code, out, err = invoke(capsys, ["orient", path])
+        assert code == 1 and out == "" and "1 or -1" in err
+
 
 class TestEulerCommand:
     def test_generic_configuration(self, capsys, tmp_path):
@@ -251,6 +274,12 @@ class TestEulerCommand:
         path = payload_file(tmp_path, "fibers.json", ["II", "I1", "I1"])
         code, out, _ = invoke(capsys, ["euler", path])
         assert code == 0 and json.loads(out)["result"]["euler_sum"] == 4
+
+    def test_non_prime_characteristic_is_bad_input(self, capsys, tmp_path):
+        path = payload_file(tmp_path, "fibers.json", {"fibers": {"II": 12}})
+        for char in ("-5", "0", "4"):
+            code, out, err = invoke(capsys, ["euler", path, "--characteristic", char])
+            assert code == 1 and out == "" and "prime" in err
 
     def test_non_string_label_is_bad_input(self, capsys, tmp_path):
         path = payload_file(tmp_path, "fibers.json", ["II", 3])

@@ -1,7 +1,9 @@
 import itertools
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from k3degen.dualcomplex import (
     ComplexAutomorphism,
@@ -95,14 +97,26 @@ class TestConstruction:
                 {"a": ("v", "w"), "b": ("w", "v"), "c": ("v", "v")},
                 {"U": (("v", "v", "w"), ("c", "a", "b"))},
             )
+        # an explicit loop sign must be the integer 1 or -1 too
+        for bad in (5, "x", True, 1.0):
+            with pytest.raises(InvalidComplex):
+                DeltaComplex(
+                    ["v"],
+                    {"a": ("v", "v"), "b": ("v", "v"), "c": ("v", "v")},
+                    {
+                        "L": (("v", "v", "v"), ("a", "b", "c"), (bad, 1, -1)),
+                        "U": (("v", "v", "v"), ("c", "a", "b"), (1, -1, -1)),
+                    },
+                )
 
     def test_contradictory_sign_rejected(self):
-        with pytest.raises(InvalidComplex):
-            DeltaComplex(
-                [0, 1, 2],
-                {"e0": (0, 1), "e1": (1, 2), "e2": (2, 0)},
-                {"t": ((0, 1, 2), ("e0", "e1", "e2"), (-1, None, None))},
-            )
+        for bad in (-1, 2, "x", True, 1.0):
+            with pytest.raises(InvalidComplex):
+                DeltaComplex(
+                    [0, 1, 2],
+                    {"e0": (0, 1), "e1": (1, 2), "e2": (2, 0)},
+                    {"t": ((0, 1, 2), ("e0", "e1", "e2"), (bad, None, None))},
+                )
 
     def test_json_roundtrip(self):
         t = oracles.tetrahedron()
@@ -189,6 +203,108 @@ class TestSphereRecognition:
 
     def test_empty_fails(self):
         assert sphere_failure(DeltaComplex([], {}, {})) is not None
+
+
+def _raw(c):
+    """(vertices, edges, triangles) with every triangle's resolved signs explicit."""
+    return (
+        list(c.vertices),
+        dict(c.edges),
+        {t: (verts, tri_edges, c.triangle_signs[t]) for t, (verts, tri_edges) in c.triangles.items()},
+    )
+
+
+def _tagged(raw, tag):
+    vertices, edges, triangles = raw
+    name = lambda x: f"{tag}{x}"
+    return (
+        [name(v) for v in vertices],
+        {name(e): (name(a), name(b)) for e, (a, b) in edges.items()},
+        {
+            name(t): (tuple(map(name, verts)), tuple(map(name, tri_edges)), signs)
+            for t, (verts, tri_edges, signs) in triangles.items()
+        },
+    )
+
+
+def _merged(raw, keep, drop):
+    # identifying two vertices keeps every resolved sign: loops take them explicitly
+    vertices, edges, triangles = raw
+    same = lambda x: keep if x == drop else x
+    return (
+        [v for v in vertices if v != drop],
+        {e: (same(a), same(b)) for e, (a, b) in edges.items()},
+        {t: (tuple(map(same, verts)), tri_edges, signs) for t, (verts, tri_edges, signs) in triangles.items()},
+    )
+
+
+_SURFACES = (oracles.tetrahedron, oracles.octahedron, pillow, torus, projective_plane)
+
+
+@st.composite
+def generated_complexes(draw):
+    """A model surface, or a wedge or disjoint union of two, then random
+    vertex merges and triangle deletions."""
+    pick = st.sampled_from(_SURFACES)
+    raw = _tagged(_raw(draw(pick)()), "a")
+    join = draw(st.sampled_from(("none", "union", "wedge")))
+    if join != "none":
+        other = _tagged(_raw(draw(pick)()), "b")
+        first = raw[0]
+        raw = (raw[0] + other[0], {**raw[1], **other[1]}, {**raw[2], **other[2]})
+        if join == "wedge":
+            raw = _merged(raw, draw(st.sampled_from(first)), draw(st.sampled_from(other[0])))
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2, 3)))):  # weighted towards closed surfaces
+        if len(raw[0]) > 1:
+            keep = draw(st.sampled_from(raw[0]))
+            raw = _merged(raw, keep, draw(st.sampled_from([v for v in raw[0] if v != keep])))
+    for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2)))):
+        if raw[2]:
+            gone = draw(st.sampled_from(list(raw[2])))
+            raw = (raw[0], raw[1], {t: tri for t, tri in raw[2].items() if t != gone})
+    return raw
+
+
+def _clause(reason):
+    """A failure reason without the cell ids and counts it names."""
+    return None if reason is None else re.sub(r"'[^']*'|\d+", "#", reason)
+
+
+def _check_against_oracle(raw):
+    reason = sphere_failure(DeltaComplex(*raw))
+    assert (reason is None) == oracles.is_sphere(*raw)
+    if reason is not None and reason.startswith("link"):
+        vertices, edges, triangles = raw
+        first = next(v for v in vertices if not oracles.link_is_cycle(v, edges, triangles))
+        assert reason == f"link of vertex {first!r} is not a single circle"
+    return reason
+
+
+class TestGeneratedSurfaces:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(generated_complexes())
+    def test_sphere_failure_matches_oracle(self, raw):
+        _check_against_oracle(raw)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(generated_complexes(), st.data())
+    def test_verdict_survives_relabelling_rotation_and_reordering(self, raw, data):
+        vertices, edges, triangles = raw
+        vmap = dict(zip(vertices, data.draw(st.permutations([f"v{k}" for k in range(len(vertices))]))))
+        emap = dict(zip(edges, data.draw(st.permutations([f"e{k}" for k in range(len(edges))]))))
+        tmap = dict(zip(triangles, data.draw(st.permutations([f"t{k}" for k in range(len(triangles))]))))
+        moved = {}
+        for t, (verts, tri_edges, signs) in triangles.items():
+            r = data.draw(st.integers(0, 2))  # r = 1, 2 move side 0 to index 2, 1
+            rot = lambda xs: tuple(xs[r:]) + tuple(xs[:r])
+            moved[tmap[t]] = (rot([vmap[v] for v in verts]), rot([emap[e] for e in tri_edges]), rot(signs))
+        again = (
+            data.draw(st.permutations([vmap[v] for v in vertices])),
+            dict(data.draw(st.permutations([(emap[e], (vmap[a], vmap[b])) for e, (a, b) in edges.items()]))),
+            dict(data.draw(st.permutations(list(moved.items())))),
+        )
+        before = sphere_failure(DeltaComplex(*raw))
+        assert _clause(_check_against_oracle(again)) == _clause(before)
 
 
 class TestOrient:
