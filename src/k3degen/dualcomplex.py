@@ -15,7 +15,9 @@ undetermined there, and the triangle must then supply explicit signs.
 
 from __future__ import annotations
 
+import math
 from collections import Counter, deque
+from fractions import Fraction
 
 from . import _linalg
 
@@ -177,9 +179,59 @@ class DeltaComplex:
 
     def homology_dims(self) -> tuple[int, int, int]:
         """Rational Betti numbers (h0, h1, h2): h0 counts components (so
-        rank d1 = V - h0), h2 = T - rank d2, and h1 = h0 - chi + h2."""
+        rank d1 = V - h0), h2 = dim ker d2, and h1 = h0 - chi + h2.
+
+        h2 reduces d2 one edge row at a time without building it
+        (Kaczynski-Mrozek-Slusarek): a weighted union-find over triangles
+        keeps z[t] = q[t] * z[parent[t]] exactly. A row with one live class
+        kills it (joins it to `zero`, where z = 0), a row with two joins
+        them, and rows with more are ranked at the end over the live roots.
+        """
+        zero = object()
+        parent = {t: t for t in (*self.triangles, zero)}  # values are key objects: compare by `is`
+        q = dict.fromkeys(self.triangles, 1)
+
+        def find(t):  # (root, w) with z[t] = w * z[root], compressing the path
+            path = []
+            while parent[t] is not t:
+                path.append(t)
+                t = parent[t]
+            w = 1
+            for u in reversed(path):
+                w *= q[u]
+                parent[u], q[u] = t, w
+            return t, w
+
+        def live_terms(flat):  # an edge's row of d2 -> {live root: coefficient}
+            terms = {}
+            for t, i in zip(flat[::2], flat[1::2]):
+                r, w = find(t)
+                if r is not zero:
+                    terms[r] = terms.get(r, 0) + self.triangle_signs[t][i] * w
+            return {r: c for r, c in terms.items() if c}
+
+        residual = []
+        for flat in self._sides.values():
+            terms = live_terms(flat)
+            if len(terms) == 1:
+                parent[next(iter(terms))] = zero
+            elif len(terms) == 2:  # a z[r1] + b z[r2] = 0
+                (r1, a), (r2, b) = terms.items()
+                # an int where it divides (always, on a surface): ints multiply faster
+                parent[r2], q[r2] = r1, (-a // b if a % b == 0 else Fraction(-a, b))
+            elif terms:
+                residual.append(flat)
+
+        live = {r: k for k, r in enumerate(t for t in self.triangles if parent[t] is t)}
+        matrix = []
+        for terms in map(live_terms, residual):
+            scale = math.lcm(*(c.denominator for c in terms.values()))  # no Fractions to Bareiss
+            dense = [0] * len(live)
+            for r, c in terms.items():
+                dense[live[r]] = int(c * scale)
+            matrix.append(dense)
+        h2 = len(live) - _linalg.exact_rank(matrix)
         h0 = self.component_count()
-        h2 = len(self.triangles) - _linalg.exact_rank(self.boundary_matrices()[1])
         return h0, h0 - self.euler_characteristic() + h2, h2
 
     # -- serialization -------------------------------------------------------

@@ -9,6 +9,10 @@ from __future__ import annotations
 
 from . import _linalg
 
+# Cap on the total rank: a Gram matrix holds rank**2 entries and its exact
+# inertia takes O(rank**3) Fraction steps, about a second at the cap.
+MAX_RANK = 200
+
 
 class Lattice:
     """An integer lattice given by its symmetric Gram matrix."""
@@ -59,6 +63,8 @@ def root_lattice_a(n: int) -> Lattice:
     """Negative definite A(n): -2 on the diagonal, 1 on the path edges."""
     if n < 1:
         raise ValueError("A(n) requires n >= 1")
+    if n > MAX_RANK:
+        raise ValueError(f"A(n) requires n <= {MAX_RANK}, got {n}")
     gram = [[0] * n for _ in range(n)]
     for i in range(n):
         gram[i][i] = -2
@@ -106,6 +112,8 @@ def standard_lattice(name: str) -> Lattice:
 def direct_sum(*lattices: Lattice) -> Lattice:
     """Block-diagonal sum; the empty sum is the rank-0 lattice."""
     total = sum(lat.rank() for lat in lattices)
+    if total > MAX_RANK:
+        raise ValueError(f"direct sum has rank {total}, above the cap {MAX_RANK}")
     gram = [[0] * total for _ in range(total)]
     offset = 0
     for lat in lattices:

@@ -338,3 +338,55 @@ def random_delta_complex(rng) -> DeltaComplex:
                     tri_edges.append(add_edge(a, b))
             triangles[f"t{t}"] = ((v0, v1, v2), tuple(tri_edges))
     return DeltaComplex(vertices, edges, triangles)
+
+
+def subdivide(c: DeltaComplex) -> DeltaComplex:
+    """Midpoint subdivision of a loop-free complex: every edge splits in two
+    at a new vertex and every triangle into four. Ids become integers."""
+    index = {v: k for k, v in enumerate(c.vertices)}
+    vertices = list(index.values())
+    edges, mid, half = {}, {}, {}  # half[e, v]: the half of edge e at its end v
+    for e, (a, b) in c.edges.items():
+        mid[e] = m = len(vertices)
+        vertices.append(m)
+        for end, pair in ((a, (index[a], m)), (b, (m, index[b]))):
+            half[e, end] = len(edges)
+            edges[len(edges)] = pair
+    triangles = {}
+    for verts, tri_edges in c.triangles.values():
+        m = [mid[e] for e in tri_edges]  # m[i] splits side i, from verts[i] to verts[i + 1]
+        inner = []  # inner[i] joins m[i - 1] and m[i]
+        for i in range(3):
+            inner.append(len(edges))
+            edges[len(edges)] = (m[i - 1], m[i])
+        for i in range(3):  # the corner at verts[i]
+            triangles[len(triangles)] = (
+                (m[i - 1], index[verts[i]], m[i]),
+                (half[tri_edges[i - 1], verts[i]], half[tri_edges[i], verts[i]], inner[i]),
+            )
+        triangles[len(triangles)] = ((m[0], m[1], m[2]), (inner[1], inner[2], inner[0]))
+    return DeltaComplex(vertices, edges, triangles)
+
+
+def random_glued_complex(rng):
+    """Raw (vertices, edges, triangles) with every side sign explicit: up to 4
+    vertices and 14 triangles whose sides reuse a parallel edge (or loop) 80 %
+    of the time, so edges lie on many sides, twice on one triangle, or on
+    loops with random signs."""
+    vertices = list(range(rng.randint(1, 4)))
+    edges, triangles = {}, {}
+    for t in range(rng.randint(0, 14)):
+        verts = tuple(rng.choice(vertices) for _ in range(3))
+        tri_edges, signs = [], []
+        for i in range(3):
+            a, b = verts[i], verts[(i + 1) % 3]
+            parallel = [e for e, (x, y) in edges.items() if {x, y} == {a, b}]
+            if parallel and rng.random() < 0.8:
+                e = rng.choice(parallel)
+            else:
+                e = len(edges)
+                edges[e] = (a, b) if rng.random() < 0.5 else (b, a)
+            tri_edges.append(e)
+            signs.append(rng.choice((1, -1)) if a == b else 1 if edges[e] == (a, b) else -1)
+        triangles[f"t{t}"] = (verts, tuple(tri_edges), tuple(signs))
+    return vertices, edges, triangles

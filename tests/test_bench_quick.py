@@ -26,6 +26,6 @@ def test_traced_quick_run(workload):
     assert result["correct"] and result["failed"] == 0
     metrics = result["metrics"]
     assert set(metrics) == {m["name"] for m in SPEC["per_layer"]}
-    if workload == "type3_ladder":  # one classification and one rank (of d2) per fiber
+    if workload == "type3_ladder":  # one classification and one rank (of d2's residual) per fiber
         assert metrics["sncfiber.classify_calls_per_op"]["value"] == 1.0
         assert metrics["linalg.exact_rank_calls"]["value"] == 1.0

@@ -302,6 +302,13 @@ class TestLatticeCommand:
     def test_unknown_name(self, capsys):
         assert invoke(capsys, ["lattice", "Z9"])[0] == 1
 
+    def test_total_rank_cap(self, capsys):
+        code, out, _ = invoke(capsys, ["lattice", "U", "A198"])
+        assert code == 0 and json.loads(out)["result"]["rank"] == 200
+        for names in (["U", "A199"], ["A201"]):
+            code, _, err = invoke(capsys, ["lattice", *names])
+            assert code == 1 and "200" in err
+
 
 class TestFixturesCommand:
     def test_bundled_corpus_passes(self, capsys):

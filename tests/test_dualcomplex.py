@@ -3,7 +3,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from k3degen.dualcomplex import (
     ComplexAutomorphism,
@@ -204,6 +204,14 @@ class TestSphereRecognition:
     def test_empty_fails(self):
         assert sphere_failure(DeltaComplex([], {}, {})) is not None
 
+    def test_subdivided_octahedron_at_scale(self):
+        c = oracles.octahedron()
+        for _ in range(4):
+            c = oracles.subdivide(c)
+        assert c.counts() == (1026, 3072, 2048)
+        assert sphere_failure(c) is None
+        assert c.homology_dims() == (1, 0, 1)
+
 
 def _raw(c):
     """(vertices, edges, triangles) with every triangle's resolved signs explicit."""
@@ -305,6 +313,21 @@ class TestGeneratedSurfaces:
         )
         before = sphere_failure(DeltaComplex(*raw))
         assert _clause(_check_against_oracle(again)) == _clause(before)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(generated_complexes())
+    def test_homology_matches_oracle(self, raw):
+        # merges make loops and d2 entries of +-2
+        assert DeltaComplex(*raw).homology_dims() == oracles.raw_homology(*raw)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.randoms(use_true_random=False))
+    @example(random.Random(6568))  # these two reach the final rank with
+    @example(random.Random(9473))  # Fraction coefficients that change it
+    def test_glued_homology_matches_oracle(self, rng):
+        # edges on three or more sides leave d2 rows for the final rank
+        raw = oracles.random_glued_complex(rng)
+        assert DeltaComplex(*raw).homology_dims() == oracles.raw_homology(*raw)
 
 
 class TestOrient:
