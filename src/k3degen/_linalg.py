@@ -1,7 +1,10 @@
 """Exact linear algebra over the integers and rationals.
 
-Small matrices only (ranks up to ~22 in this library), so fraction-free
-Bareiss elimination and rational congruence diagonalization are plenty.
+Dense matrices, kept small by their callers: lattice Gram matrices up to
+the rank cap of 200, and the residual of d2 that the union-find pass in
+DeltaComplex.homology_dims leaves (the rows of edges on three or more
+sides, so empty on a surface). Fraction-free Bareiss elimination and
+rational congruence diagonalization are plenty for these.
 """
 
 from __future__ import annotations

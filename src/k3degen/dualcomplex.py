@@ -222,14 +222,11 @@ class DeltaComplex:
             elif terms:
                 residual.append(flat)
 
-        live = {r: k for k, r in enumerate(t for t in self.triangles if parent[t] is t)}
+        live = [t for t in self.triangles if parent[t] is t]
         matrix = []
         for terms in map(live_terms, residual):
-            scale = math.lcm(*(c.denominator for c in terms.values()))  # no Fractions to Bareiss
-            dense = [0] * len(live)
-            for r, c in terms.items():
-                dense[live[r]] = int(c * scale)
-            matrix.append(dense)
+            scale = math.lcm(*(c.denominator for c in terms.values()))  # Bareiss takes ints only
+            matrix.append([int(terms.get(r, 0) * scale) for r in live])
         h2 = len(live) - _linalg.exact_rank(matrix)
         h0 = self.component_count()
         return h0, h0 - self.euler_characteristic() + h2, h2

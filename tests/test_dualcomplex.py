@@ -322,8 +322,8 @@ class TestGeneratedSurfaces:
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(st.randoms(use_true_random=False))
-    @example(random.Random(6568))  # these two reach the final rank with
-    @example(random.Random(9473))  # Fraction coefficients that change it
+    @example(random.Random(6568))  # both reach the final rank with Fraction
+    @example(random.Random(9473))  # coefficients whose exact values decide it
     def test_glued_homology_matches_oracle(self, rng):
         # edges on three or more sides leave d2 rows for the final rank
         raw = oracles.random_glued_complex(rng)
