@@ -26,18 +26,37 @@ FINITE_FIELD = "finite_field"
 DEFAULT_RANK_CAP = 21
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Primality by trial division, decided for n < 2**40 only (at most
-    about 10**6 steps); larger n raise ValueError rather than run for hours."""
-    if n >= 1 << 40:
-        raise ValueError(f"primality is only decided below 2**40, got {n}")
+    """Deterministic Miller-Rabin with the 13 prime bases 2..41.
+
+    It is proven correct below psi_13 = 3317044064679887385961981, the least
+    strong pseudoprime to all of them (Sorenson-Webster, Math. Comp. 86,
+    2017); larger n raise ValueError, as no certificate covers them.
+    """
+    if n >= _MR_BOUND:
+        raise ValueError(f"primality is only decided below {_MR_BOUND}, got {n}")
     if n < 2:
         return False
-    p = 2
-    while p * p <= n:
+    for p in _MR_BASES:
         if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        p += 1
     return True
 
 
@@ -84,12 +103,13 @@ def finite_field(p: int) -> CharSetting:
 
 
 def _power_candidates(m: int, p: int, t_rank: int):
-    """Indices m * p^e, e >= 0, whose totient still fits in t_rank."""
+    """(m * p^e, its totient) for e >= 0 while the totient fits in t_rank.
+    p does not divide m, so phi(m p^e) = phi(m) (p - 1) p^(e - 1)."""
     out = []
-    index = m
-    while euler_phi(index) <= t_rank:
-        out.append(index)
-        index *= p
+    index, phi, step = m, euler_phi(m), p - 1
+    while phi <= t_rank:
+        out.append((index, phi))
+        index, phi, step = index * p, phi * step, p
     return out
 
 
@@ -121,24 +141,18 @@ def admissible_transcendental_charpolys(
 
     candidates = _power_candidates(m, p, t_rank)
     if setting.kind in (LIFTABLE, FINITE_FIELD):
-        out = []
-        for index in candidates:
-            phi = euler_phi(index)
-            if t_rank % phi == 0:
-                out.append(CycloFactorization({index: t_rank // phi}))
-        return out
+        return [CycloFactorization({index: t_rank // phi}) for index, phi in candidates if t_rank % phi == 0]
 
     # finite height: any multiset of factors Phi_{m p^{e_i}} filling t_rank
-    degrees = [(index, euler_phi(index)) for index in candidates]
     solutions = []
 
     def fill(pos, remaining, chosen):
         if remaining == 0:
             solutions.append(CycloFactorization(dict(chosen)))
             return
-        if pos == len(degrees):
+        if pos == len(candidates):
             return
-        index, phi = degrees[pos]
+        index, phi = candidates[pos]
         max_mult = remaining // phi
         for mult in range(max_mult, -1, -1):
             if mult:

@@ -1,11 +1,11 @@
 """Independent oracles for the test suite.
 
 Everything here is deliberately written from first principles, on purpose
-not sharing code paths with the library: brute-force totients, the Moebius
-product formula for cyclotomic polynomials, Fraction-based elimination for
-determinants and ranks, and Descartes' rule on exact characteristic
-polynomials for signatures (valid because symmetric matrices have only real
-eigenvalues).
+not sharing code paths with the library: a sieve of Eratosthenes for
+primality, brute-force totients, the Moebius product formula for cyclotomic
+polynomials, Fraction-based elimination for determinants and ranks, and
+Descartes' rule on exact characteristic polynomials for signatures (valid
+because symmetric matrices have only real eigenvalues).
 """
 
 from __future__ import annotations
@@ -22,6 +22,16 @@ from k3degen.dualcomplex import ComplexAutomorphism, DeltaComplex
 
 def naive_phi(m: int) -> int:
     return sum(1 for k in range(1, m + 1) if math.gcd(k, m) == 1)
+
+
+def prime_sieve(limit: int) -> list[bool]:
+    """Sieve of Eratosthenes: flags[n] is True iff n < limit is prime."""
+    flags = [True] * limit
+    flags[:2] = [False, False]
+    for p in range(2, math.isqrt(limit - 1) + 1):
+        if flags[p]:
+            flags[p * p :: p] = [False] * len(range(p * p, limit, p))
+    return flags
 
 
 def mobius(n: int) -> int:

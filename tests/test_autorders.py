@@ -1,6 +1,8 @@
 import itertools
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from k3degen.autorders import (
     CharSetting,
@@ -8,6 +10,7 @@ from k3degen.autorders import (
     char0,
     finite_field,
     finite_height,
+    is_prime,
     is_single_power,
     liftable,
     nygaard_sigma0,
@@ -18,6 +21,57 @@ from k3degen.autorders import (
 from k3degen.cyclotomic import CycloFactorization, euler_phi
 
 import oracles
+
+
+SIEVE = oracles.prime_sieve(10**5)
+SIEVE_PRIMES = [n for n, prime in enumerate(SIEVE) if prime]
+PSI_13 = 3317044064679887385961981
+
+
+class TestIsPrime:
+    # psi_1 .. psi_12, the least strong pseudoprimes to the first k prime
+    # bases (psi_7 = psi_8, psi_9 = psi_10 = psi_11), with their factors
+    STRONG_PSEUDOPRIMES = {
+        2047: (23, 89),
+        1373653: (829, 1657),
+        25326001: (2251, 11251),
+        3215031751: (151, 751, 28351),
+        2152302898747: (6763, 10627, 29947),
+        3474749660383: (1303, 16927, 157543),
+        341550071728321: (10670053, 32010157),
+        3825123056546413051: (149491, 747451, 34233211),
+        318665857834031151167461: (399165290221, 798330580441),
+    }
+
+    def test_matches_sieve_below_10_5(self):
+        assert [n for n, prime in enumerate(SIEVE) if is_prime(n) != prime] == []
+        assert not any(is_prime(n) for n in range(-3, 0))
+
+    def test_strong_pseudoprimes_are_composite(self):
+        for n, factors in self.STRONG_PSEUDOPRIMES.items():
+            assert math.prod(factors) == n and not is_prime(n), n
+
+    def test_carmichael_numbers_are_composite(self):
+        for n in (561, 1105, 1729, 41041, 825265, 321197185):
+            assert not is_prime(n), n
+
+    def test_large_primes(self):
+        for n in (2**31 - 1, 2**61 - 1, 10**18 + 3):
+            assert is_prime(n), n
+
+    def test_certificate_bound(self):
+        # psi_13 = 1287836182261 * 2575672364521 passes all 13 bases, so it
+        # and everything above it stay undecided
+        assert 1287836182261 * 2575672364521 == PSI_13
+        for n in (PSI_13, 2**89 - 1):
+            with pytest.raises(ValueError, match=str(PSI_13)):
+                is_prime(n)
+        assert (PSI_13 - 2) % 17 == 0 and not is_prime(PSI_13 - 2)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.sampled_from(SIEVE_PRIMES), st.sampled_from(SIEVE_PRIMES))
+    def test_products_of_two_primes_are_composite(self, p, q):
+        assert not is_prime(p * q)
 
 
 class TestCharSetting:

@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
-@pytest.mark.parametrize("workload", ["type3_ladder", "non_kulikov"])
+@pytest.mark.parametrize("workload", ["type3_ladder", "non_kulikov", "arithmetic_queries"])
 def test_traced_quick_run(workload):
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
             "--quick", "--trace", "1", "--seconds", "1"]
@@ -29,3 +29,6 @@ def test_traced_quick_run(workload):
     if workload == "type3_ladder":  # one classification and one rank (of d2's residual) per fiber
         assert metrics["sncfiber.classify_calls_per_op"]["value"] == 1.0
         assert metrics["linalg.exact_rank_calls"]["value"] == 1.0
+    if workload == "arithmetic_queries":  # the arithmetic tracers still find what they wrap
+        assert metrics["autorders.is_prime_calls"]["value"] > 0
+        assert metrics["cyclotomic.euler_phi_calls"]["value"] > 0

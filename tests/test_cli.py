@@ -188,10 +188,16 @@ class TestCharpolyAndOrders:
             assert code == 0 and json.loads(out)["result"]["candidates"] == []
 
     def test_huge_prime_is_bad_input(self, capsys):
-        huge = "1000000000000000003"
+        huge = str(2**89 - 1)  # a Mersenne prime above the Miller-Rabin certificate's bound
         for argv in (["ss-check", "--m", "5", "--p", huge], ["allowed-types", "--m", "4", "--char", huge]):
             code, out, err = invoke(capsys, argv)
-            assert code == 1 and out == "" and "2**40" in err
+            assert code == 1 and out == "" and "3317044064679887385961981" in err
+
+    def test_prime_near_10_18_is_decided(self, capsys):
+        p = "1000000000000000003"
+        code, out, _ = invoke(capsys, ["ss-check", "--m", "5", "--p", p])
+        assert code == 0 and json.loads(out)["result"]["sigma0"] == [2, 6, 10]
+        assert invoke(capsys, ["allowed-types", "--m", "4", "--char", p])[0] == 0
 
 
 class TestOrientCommand:
