@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from . import autorders, corpus, degeneration, lattice
 from .cyclotomic import NotCyclotomicProduct, bounded_orders
@@ -41,16 +43,62 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_BAD_INPUT)
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name} is not JSON")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} overflows to {value}")
+    return value
+
+
 def _read_payload(path: str):
+    """The JSON payload at path (- for stdin); NaN, Infinity and overflowing numbers are rejected."""
     if path == "-":
-        return json.load(sys.stdin)
+        return json.load(sys.stdin, parse_constant=_reject_constant, parse_float=_finite_float)
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        return json.load(handle, parse_constant=_reject_constant, parse_float=_finite_float)
+
+
+_CONTAINERS = frozenset((dict, list, tuple))
+# _FLAT[d] encodes a container of scalars whose items sit at indent level d
+_FLAT = []
+
+
+def _pretty(obj, depth: int = 0) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True) for str-keyed reports.
+
+    CPython's C encoder serves only indent=None, so each container that holds
+    only scalars is encoded in one C call with the indent in its item
+    separator; the containers above those are joined here.
+    """
+    while len(_FLAT) <= depth + 1:
+        _FLAT.append(
+            c_make_encoder(None, None, encode_basestring_ascii, None, ": ", ",\n" + "  " * len(_FLAT), True, False, True)
+        )
+    kind = type(obj)
+    if kind not in _CONTAINERS:
+        return _FLAT[0](obj, 0)[0]
+    if not obj:
+        return "{}" if kind is dict else "[]"
+    inner = "  " * (depth + 1)
+    if _CONTAINERS.isdisjoint(map(type, obj.values() if kind is dict else obj)):
+        body = _FLAT[depth + 1](obj, 0)[0][1:-1]
+    elif kind is dict:
+        body = (",\n" + inner).join(
+            encode_basestring_ascii(key) + ": " + _pretty(value, depth + 1) for key, value in sorted(obj.items())
+        )
+    else:
+        body = (",\n" + inner).join(_pretty(value, depth + 1) for value in obj)
+    opening, closing = "{}" if kind is dict else "[]"
+    return f"{opening}\n{inner}{body}\n{'  ' * depth}{closing}"
 
 
 def _emit(command: str, inputs, result) -> None:
     report = {"command": command, "input": inputs, "result": result}
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(_pretty(report))
 
 
 def _summary(text: str) -> None:

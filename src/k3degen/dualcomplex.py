@@ -259,6 +259,10 @@ class DeltaComplex:
                 triangles[t["id"]] = (tuple(t["vertices"]), tuple(t["edges"]), signs)
         except (KeyError, TypeError) as exc:
             raise InvalidComplex(f"malformed complex payload: {exc}") from exc
+        if len(edges) != len(data["edges"]):
+            raise InvalidComplex("repeated edge id")
+        if len(triangles) != len(data["triangles"]):
+            raise InvalidComplex("repeated triangle id")
         return cls(vertices, edges, triangles)
 
 

@@ -1,13 +1,25 @@
+import io
 import json
 import shutil
 
+from hypothesis import example, given, settings, strategies as st
+
 from k3degen import corpus
-from k3degen.cli import run
+from k3degen.cli import _pretty, run
+from k3degen.sncfiber import SNCSurface
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
 
 
 def invoke(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
+    if captured.out:
+        # every report is RFC 8259 JSON, printed exactly as json.dumps would pretty-print it
+        report = json.loads(captured.out, parse_constant=_no_constant)
+        assert captured.out == json.dumps(report, indent=2, sort_keys=True) + "\n"
     return code, captured.out, captured.err
 
 
@@ -80,6 +92,37 @@ class TestClassifyFiber:
             path = payload_file(tmp_path, "typed.json", surface)
             code, out, _ = invoke(capsys, ["classify-fiber", path])
             assert code == 1 and out == ""
+
+    def test_non_finite_numbers_are_bad_input(self, capsys, tmp_path, monkeypatch):
+        text = json.dumps(TETRA_SURFACE)
+        for bad in ("NaN", "Infinity", "-Infinity", "1e400"):
+            payload = text.replace('"Z0"', bad, 1)
+            path = tmp_path / "nonfinite.json"
+            path.write_text(payload)
+            code, out, err = invoke(capsys, ["classify-fiber", str(path)])
+            assert code == 1 and out == "" and bad.lstrip("-") in err
+            monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+            assert invoke(capsys, ["classify-fiber", "-"])[:2] == (1, "")
+
+    def test_awkward_ids_round_trip(self, capsys, tmp_path):
+        # brackets, quotes, a backslash, a newline and non-ASCII in every id
+        tag = lambda x: x + '[]{}",:\\\n\u00e9'
+        surface = {
+            "components": [{**c, "id": tag(c["id"])} for c in TETRA_SURFACE["components"]],
+            "double_curves": [
+                {**d, "id": tag(d["id"]), "components": [tag(z) for z in d["components"]]}
+                for d in TETRA_SURFACE["double_curves"]
+            ],
+            "triple_points": [
+                {"id": tag(t["id"]), "curves": [tag(x) for x in t["curves"]]} for t in TETRA_SURFACE["triple_points"]
+            ],
+        }
+        code, out, _ = invoke(capsys, ["classify-fiber", payload_file(tmp_path, "awkward.json", surface)])
+        assert code == 0
+        report = json.loads(out)
+        assert report["result"]["type"] == "III"
+        assert report["input"] == surface
+        assert SNCSurface.from_json_dict(report["input"]).to_json_dict() == report["input"]
 
     def test_deterministic_output(self, capsys, tmp_path):
         path = payload_file(tmp_path, "tetra.json", TETRA_SURFACE)
@@ -256,6 +299,22 @@ class TestOrientCommand:
         assert code == 1 and out == "" and "1 or -1" in err
 
 
+    def test_repeated_edge_or_triangle_is_bad_input(self, capsys, tmp_path):
+        tetra = {
+            "vertices": ["A", "B", "C", "D"],
+            "edges": [{"id": a + b, "v": [a, b]} for a, b in ("AB", "AC", "AD", "BC", "BD", "CD")],
+            "triangles": [
+                {"id": a + b + c, "edges": [a + b, b + c, a + c], "vertices": [a, b, c]}
+                for a, b, c in ("ABC", "ABD", "ACD", "BCD")
+            ],
+        }
+        assert invoke(capsys, ["orient", payload_file(tmp_path, "tetra.json", tetra)])[0] == 0
+        for key, again in (("edges", {"id": "AB", "v": ["C", "D"]}), ("triangles", tetra["triangles"][0])):
+            path = payload_file(tmp_path, "twice.json", {**tetra, key: [*tetra[key], again]})
+            code, out, err = invoke(capsys, ["orient", path])
+            assert code == 1 and out == "" and "repeated" in err
+
+
 class TestEulerCommand:
     def test_generic_configuration(self, capsys, tmp_path):
         path = payload_file(tmp_path, "fibers.json", {"fibers": {"II": 1, "I1": 22}})
@@ -354,3 +413,37 @@ class TestDispatch:
 
     def test_no_arguments(self, capsys):
         assert invoke(capsys, [])[0] == 1
+
+
+# Report keys are always str: ids and numbers travel as values, never as keys.
+_TEXT = st.text(st.sampled_from('[]{}",:\\\n\t\x00\x7f \u00e9\u2028\U0001f600az09'), max_size=6) | st.text(max_size=4)
+_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.integers(2**64 - 2, 2**200) | st.integers(-(2**200), -(2**64))
+    | st.floats(allow_nan=False, allow_infinity=False) | _TEXT
+)
+_TREES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=40,
+)
+
+
+@st.composite
+def json_trees(draw):
+    """A JSON tree, wrapped in up to 20 further levels of lists, tuples and dicts."""
+    tree = draw(_TREES)
+    for _ in range(draw(st.integers(0, 20))):
+        key = draw(_TEXT)
+        tree = draw(st.sampled_from(([tree], [[], tree, {}], (tree,), {key: tree}, {key: tree, key + "~": {}})))
+    return tree
+
+
+class TestPretty:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(json_trees())
+    @example({})
+    @example([[], {}, [[]], {"": {}}])
+    @example({"b": [1, {"c": []}], "a": ("x", None, True, 2**70)})
+    @example([[[[[[[[[[[[[[[[[[[[1]]]]]]]]]]]]]]]]]]]])
+    def test_matches_json_dumps(self, tree):
+        assert _pretty(tree) == json.dumps(tree, indent=2, sort_keys=True)

@@ -43,6 +43,18 @@ def torus():
     )
 
 
+def klein_bottle():
+    # one vertex, three loops: the square a b a^-1 b cut along the diagonal c = ab
+    return DeltaComplex(
+        ["v"],
+        {"a": ("v", "v"), "b": ("v", "v"), "c": ("v", "v")},
+        {
+            "L": (("v", "v", "v"), ("a", "b", "c"), (1, 1, -1)),
+            "U": (("v", "v", "v"), ("c", "a", "b"), (1, -1, 1)),
+        },
+    )
+
+
 def pillow():
     # two triangles glued along all three edges: a Delta-complex sphere
     return DeltaComplex(
@@ -117,6 +129,14 @@ class TestConstruction:
                     {"e0": (0, 1), "e1": (1, 2), "e2": (2, 0)},
                     {"t": ((0, 1, 2), ("e0", "e1", "e2"), (bad, None, None))},
                 )
+
+    def test_from_json_rejects_repeated_ids(self):
+        data = oracles.tetrahedron().to_json_dict()
+        for key in ("edges", "triangles"):
+            # a second entry under an existing id, not a copy: the last one must not win silently
+            again = {**data[key][0], "signs": [-1, -1, 1]} if key == "triangles" else {**data[key][0], "v": [2, 3]}
+            with pytest.raises(InvalidComplex, match="repeated"):
+                DeltaComplex.from_json_dict({**data, key: [*data[key], again]})
 
     def test_json_roundtrip(self):
         t = oracles.tetrahedron()
@@ -246,7 +266,7 @@ def _merged(raw, keep, drop):
     )
 
 
-_SURFACES = (oracles.tetrahedron, oracles.octahedron, pillow, torus, projective_plane)
+_SURFACES = (oracles.tetrahedron, oracles.octahedron, pillow, torus, projective_plane, klein_bottle)
 
 
 @st.composite
@@ -328,6 +348,18 @@ class TestGeneratedSurfaces:
         # edges on three or more sides leave d2 rows for the final rank
         raw = oracles.random_glued_complex(rng)
         assert DeltaComplex(*raw).homology_dims() == oracles.raw_homology(*raw)
+
+
+class TestKleinBottle:
+    def test_homology(self):
+        c = klein_bottle()
+        assert c.homology_dims() == (1, 1, 0)
+        assert oracles.raw_homology(*_raw(c)) == (1, 1, 0)
+
+    def test_not_orientable(self):
+        with pytest.raises(NonOrientable):
+            orient(klein_bottle())
+        assert sphere_failure(klein_bottle()) == "not orientable"
 
 
 class TestOrient:
