@@ -298,7 +298,6 @@ class TestOrientCommand:
         code, out, err = invoke(capsys, ["orient", path])
         assert code == 1 and out == "" and "1 or -1" in err
 
-
     def test_repeated_edge_or_triangle_is_bad_input(self, capsys, tmp_path):
         tetra = {
             "vertices": ["A", "B", "C", "D"],

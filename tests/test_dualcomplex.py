@@ -130,14 +130,6 @@ class TestConstruction:
                     {"t": ((0, 1, 2), ("e0", "e1", "e2"), (bad, None, None))},
                 )
 
-    def test_from_json_rejects_repeated_ids(self):
-        data = oracles.tetrahedron().to_json_dict()
-        for key in ("edges", "triangles"):
-            # a second entry under an existing id, not a copy: the last one must not win silently
-            again = {**data[key][0], "signs": [-1, -1, 1]} if key == "triangles" else {**data[key][0], "v": [2, 3]}
-            with pytest.raises(InvalidComplex, match="repeated"):
-                DeltaComplex.from_json_dict({**data, key: [*data[key], again]})
-
     def test_json_roundtrip(self):
         t = oracles.tetrahedron()
         again = DeltaComplex.from_json_dict(t.to_json_dict())
