@@ -68,11 +68,12 @@ _FLAT = []
 
 
 def _pretty(obj, depth: int = 0) -> str:
-    """json.dumps(obj, indent=2, sort_keys=True) for str-keyed reports.
+    """A str-keyed report as JSON with sorted keys and a two-space indent.
 
-    CPython's C encoder serves only indent=None, so each container that holds
-    only scalars is encoded in one C call with the indent in its item
-    separator; the containers above those are joined here.
+    The bytes are those of the stdlib's json with those settings, which on
+    CPython 3.11 runs its pure-Python encoder. Here each container that holds
+    only scalars is encoded in one call to the C encoder, with the indent in
+    its item separator; the containers above those are joined in Python.
     """
     while len(_FLAT) <= depth + 1:
         _FLAT.append(
