@@ -6,10 +6,6 @@ lattice and dual-complex machinery."""
 from .autorders import (
     CharSetting,
     admissible_transcendental_charpolys,
-    char0,
-    finite_field,
-    finite_height,
-    liftable,
     nygaard_sigma0,
     order_decomposition,
     verify_het2_factorization,
@@ -34,7 +30,6 @@ from .degeneration import (
     allowed_types_from_m,
     combine,
     moduli_dim,
-    potential_good_reduction_implied,
 )
 from .dualcomplex import (
     ComplexAutomorphism,
@@ -65,7 +60,6 @@ from .lattice import (
 from .sncfiber import (
     Component,
     DoubleCurve,
-    GrWDims,
     KulikovType,
     MissingBetti,
     NotKulikov,

@@ -86,22 +86,6 @@ class CharSetting:
             raise ValueError(f"setting {self.kind!r} requires p > 2")
 
 
-def char0() -> CharSetting:
-    return CharSetting(CHAR0)
-
-
-def liftable(p: int) -> CharSetting:
-    return CharSetting(LIFTABLE, p)
-
-
-def finite_height(p: int) -> CharSetting:
-    return CharSetting(FINITE_HEIGHT, p)
-
-
-def finite_field(p: int) -> CharSetting:
-    return CharSetting(FINITE_FIELD, p)
-
-
 def _power_candidates(m: int, p: int, t_rank: int):
     """(m * p^e, its totient) for e >= 0 while the totient fits in t_rank.
     p does not divide m, so phi(m p^e) = phi(m) (p - 1) p^(e - 1)."""

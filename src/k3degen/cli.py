@@ -99,7 +99,12 @@ def _pretty(obj, depth: int = 0) -> str:
 
 def _emit(command: str, inputs, result) -> None:
     report = {"command": command, "input": inputs, "result": result}
-    print(_pretty(report))
+    try:
+        print(_pretty(report), flush=True)
+    except BrokenPipeError:  # the reader closed stdout early (k3degen ... | head): not bad input
+        import os  # stdout's fd goes to devnull, so the flush at exit stays quiet
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _summary(text: str) -> None:
@@ -113,19 +118,17 @@ def _cmd_classify_fiber(args) -> int:
     surface = SNCSurface.from_json_dict(_read_payload(args.payload))
     inputs = surface.to_json_dict()
     try:
-        report = crosscheck(surface)
+        t, check = crosscheck(surface)
     except NotKulikov as exc:
         _emit("classify-fiber", inputs, {"error": {"constraint": "NotKulikov", "detail": str(exc)}})
         _summary(f"not a Kulikov fiber: {exc}")
         return EXIT_CONSTRAINT
-    t = report.kulikov_type
-    result = {"type": str(t), "grw": list(grw_dims(t).dims)}
+    result = {"type": str(t), "grw": list(grw_dims(t)), "crosscheck": check}
     if all(c.b2 is not None for c in surface.components):
         grid = e1_page(surface)
         result["e1"] = [
             {"p": p, "dims": [grid[(p, q)] for q in range(5)]} for p in range(-2, 3)
         ]
-    result["crosscheck"] = report.to_json_dict()
     _emit("classify-fiber", inputs, result)
     _summary(f"Type {t}, grw = {result['grw']}")
     return EXIT_OK

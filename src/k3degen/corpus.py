@@ -43,7 +43,7 @@ def _parse_factors(raw: dict) -> CycloFactorization:
 
 def _check_grw_table(data):
     for name, expect in data["expect"].items():
-        dims = grw_dims(KulikovType(name)).dims
+        dims = grw_dims(KulikovType(name))
         if list(dims) != list(expect):
             return False, f"type {name}: got {list(dims)}, expected {expect}"
         if sum(dims) != 22 or any(dims[n] != dims[4 - n] for n in range(5)):
@@ -52,15 +52,14 @@ def _check_grw_table(data):
 
 
 def _check_classify_fiber(data):
-    report = crosscheck(SNCSurface.from_json_dict(data["surface"]))
-    t = report.kulikov_type
+    t, report = crosscheck(SNCSurface.from_json_dict(data["surface"]))
     if str(t) != data["expect"]["type"]:
         return False, f"classified {t}, expected {data['expect']['type']}"
-    dims = list(grw_dims(t).dims)
+    dims = list(grw_dims(t))
     if dims != data["expect"]["grw"]:
         return False, f"grw {dims}, expected {data['expect']['grw']}"
-    if not report.all_passed:
-        failed = [e.name for e in report.entries if not e.passed]
+    if not report["all_passed"]:
+        failed = [c["name"] for c in report["checks"] if not c["passed"]]
         return False, f"crosscheck failed: {failed}"
     return True, f"type {t}, grw {dims}, crosscheck passed"
 

@@ -11,7 +11,6 @@ reduction) is never excluded.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 from .autorders import is_prime
@@ -35,7 +34,8 @@ class HodgeFieldClass(enum.Enum):
     TOTALLY_REAL_DEGREE_GT1 = "totally_real_degree_gt1"
 
 
-INFINITE_HEIGHT = math.inf
+# the height of a supersingular surface; a string, so no float enters the engine
+INFINITE_HEIGHT = "infinite"
 
 
 def allowed_types_from_m(m: int) -> frozenset[KulikovType]:
@@ -99,7 +99,7 @@ def allowed_types_from_height(h) -> frozenset[KulikovType]:
     """
     if h == INFINITE_HEIGHT:
         return frozenset({KulikovType.I})
-    if not isinstance(h, int) or not 1 <= h <= 10:
+    if type(h) is not int or not 1 <= h <= 10:
         raise ValueError(f"height must be an integer in 1..10 or infinite, got {h!r}")
     if h == 1:
         return ALL_TYPES
@@ -166,8 +166,7 @@ def combine(m=None, e=None, h=None, residue_char=None) -> Decision:
     if h is not None:
         types = allowed_types_from_height(h)
         allowed &= types
-        label = "infinite" if h == INFINITE_HEIGHT else h
-        reasons.append(f"height {label} allows {{{', '.join(sorted(str(t) for t in types))}}}")
+        reasons.append(f"height {h} allows {{{', '.join(sorted(str(t) for t in types))}}}")
     return Decision(allowed, conditional, tuple(reasons))
 
 
@@ -185,10 +184,3 @@ def moduli_dim(p: int, rank_s: int) -> int:
         raise ValueError(f"no eigenspace left: computed dimension {dim}")
     return dim
 
-
-def potential_good_reduction_implied(p: int) -> bool:
-    """Whether order-p non-symplectic pairs are guaranteed everywhere
-    potential good reduction; requires p >= 5."""
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    return p >= 5

@@ -30,6 +30,18 @@ class NonOrientable(Exception):
     """Raised when orientation propagation reaches a contradiction."""
 
 
+_ID_TYPES = frozenset((str, int))
+
+
+def _require_json_ids(error, *groups):
+    """Raise error unless every id in the lists is a JSON string or integer:
+    Python equality would let JSON true and 2.0 stand for the ids 1 and 2."""
+    for ids in groups:
+        if not _ID_TYPES.issuperset(map(type, ids)):
+            bad = next(x for x in ids if type(x) not in _ID_TYPES)
+            raise error(f"id {bad!r} is not a JSON string or integer")
+
+
 def _classes(nodes, joins):
     """Union-find: the class representative of each node, where joins is a
     flat list [a0, b0, a1, b1, ...] of nodes joined in pairs."""
@@ -263,6 +275,13 @@ class DeltaComplex:
             raise InvalidComplex("repeated edge id")
         if len(triangles) != len(data["triangles"]):
             raise InvalidComplex("repeated triangle id")
+        # after the repeat checks, so the keys of edges and triangles are every declared id
+        _require_json_ids(
+            InvalidComplex,
+            vertices,
+            [x for eid, pair in edges.items() for x in (eid, *pair)],
+            [x for tid, (verts, tri_edges, _) in triangles.items() for x in (tid, *verts, *tri_edges)],
+        )
         return cls(vertices, edges, triangles)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .dualcomplex import DeltaComplex, sphere_failure
+from .dualcomplex import DeltaComplex, _require_json_ids, sphere_failure
 
 KINDS = ("rational", "elliptic_ruled", "k3")
 
@@ -170,22 +170,13 @@ class SNCSurface:
             ]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed surface payload: {exc}") from exc
+        _require_json_ids(
+            ValueError,
+            [c.id for c in components],
+            [x for d in curves for x in (d.id, *d.components)],
+            [x for t in points for x in (t.id, *t.curves)],
+        )
         return cls(components, curves, points)
-
-
-@dataclass(frozen=True)
-class GrWDims:
-    """Dimensions of the five weight-graded pieces of H^2, indices 0..4."""
-
-    dims: tuple
-
-    def __post_init__(self):
-        if len(self.dims) != 5 or any(d < 0 for d in self.dims):
-            raise ValueError("GrWDims needs five nonnegative entries")
-        if sum(self.dims) != 22:
-            raise ValueError(f"weight-graded dimensions must sum to 22, got {sum(self.dims)}")
-        if any(self.dims[n] != self.dims[4 - n] for n in range(5)):
-            raise ValueError("weight-graded dimensions must satisfy dims[n] = dims[4-n]")
 
 
 _GRW_TABLE = {
@@ -195,9 +186,9 @@ _GRW_TABLE = {
 }
 
 
-def grw_dims(t: KulikovType) -> GrWDims:
-    """The weight-graded dimension 5-vector attached to a Kulikov type."""
-    return GrWDims(_GRW_TABLE[t])
+def grw_dims(t: KulikovType) -> tuple:
+    """The weight-graded dimensions of H^2 attached to a Kulikov type, pieces 0..4."""
+    return _GRW_TABLE[t]
 
 
 def _is_rational(c: Component) -> bool:
@@ -344,57 +335,23 @@ def e1_page(s: SNCSurface) -> dict:
     return grid
 
 
-@dataclass(frozen=True)
-class CheckEntry:
-    name: str
-    passed: bool
-    detail: str
+def crosscheck(s: SNCSurface) -> tuple[KulikovType, dict]:
+    """Classify, then verify the weight table against the dual complex.
 
-
-class CrosscheckReport:
-    """Consistency report tying the type table to dual-complex cohomology."""
-
-    def __init__(self, kulikov_type: KulikovType, entries):
-        self.kulikov_type = kulikov_type
-        self.entries = tuple(entries)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(e.passed for e in self.entries)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "type": str(self.kulikov_type),
-            "all_passed": self.all_passed,
-            "checks": [
-                {"name": e.name, "passed": e.passed, "detail": e.detail} for e in self.entries
-            ],
-        }
-
-
-def crosscheck(s: SNCSurface) -> CrosscheckReport:
-    """Classify, then verify the weight table against the dual complex."""
+    Returns the type and the report classify-fiber prints under
+    "crosscheck": {"type", "all_passed", "checks": [{"name", "passed", "detail"}]}.
+    """
     t = classify(s)
-    dims = grw_dims(t).dims
-    entries = []
-
+    dims = _GRW_TABLE[t]
     duality = all(dims[n] == dims[4 - n] for n in range(5)) and sum(dims) == 22
-    entries.append(
-        CheckEntry("grw_duality_and_total", duality, f"dims={list(dims)}, sum={sum(dims)}")
-    )
-
-    h0, h1, h2 = s.dual_complex().homology_dims()
+    checks = [{"name": "grw_duality_and_total", "passed": duality, "detail": f"dims={list(dims)}, sum={sum(dims)}"}]
+    h2 = s.dual_complex().homology_dims()[2]
     if t is KulikovType.III:
-        ok = h2 == 1 and dims[4] == 1 and dims[0] == 1
-        entries.append(
-            CheckEntry(
-                "type3_top_weight_is_dual_complex_h2",
-                ok,
-                f"h2(dual complex)={h2}, dims[4]={dims[4]}, dims[0]={dims[0]}",
-            )
-        )
+        checks.append({
+            "name": "type3_top_weight_is_dual_complex_h2",
+            "passed": h2 == 1 and dims[4] == 1 and dims[0] == 1,
+            "detail": f"h2(dual complex)={h2}, dims[4]={dims[4]}, dims[0]={dims[0]}",
+        })
     else:
-        entries.append(
-            CheckEntry("dual_complex_h2_vanishes", h2 == 0, f"h2(dual complex)={h2}")
-        )
-    return CrosscheckReport(t, entries)
+        checks.append({"name": "dual_complex_h2_vanishes", "passed": h2 == 0, "detail": f"h2(dual complex)={h2}"})
+    return t, {"type": str(t), "all_passed": all(c["passed"] for c in checks), "checks": checks}

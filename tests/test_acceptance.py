@@ -44,7 +44,7 @@ def test_criterion_01_grw_table():
         KulikovType.III: (1, 0, 20, 0, 1),
     }
     for t, dims in expected.items():
-        got = grw_dims(t).dims
+        got = grw_dims(t)
         assert got == dims
         assert sum(got) == 22
         assert all(got[n] == got[4 - n] for n in range(5))

@@ -7,12 +7,8 @@ from hypothesis import given, settings, strategies as st
 from k3degen.autorders import (
     CharSetting,
     admissible_transcendental_charpolys,
-    char0,
-    finite_field,
-    finite_height,
     is_prime,
     is_single_power,
-    liftable,
     nygaard_sigma0,
     order_decomposition,
     verify_het2_factorization,
@@ -76,23 +72,23 @@ class TestIsPrime:
 
 class TestCharSetting:
     def test_char0_takes_no_p(self):
-        assert char0().p is None
+        assert CharSetting("char0").p is None
         with pytest.raises(ValueError):
             CharSetting("char0", 5)
 
     def test_positive_characteristic_needs_prime(self):
         with pytest.raises(ValueError):
-            liftable(6)
+            CharSetting("liftable", 6)
         with pytest.raises(ValueError):
-            finite_field(1)
+            CharSetting("finite_field", 1)
 
     def test_finite_height_and_field_exclude_two(self):
         with pytest.raises(ValueError):
-            finite_height(2)
+            CharSetting("finite_height", 2)
         with pytest.raises(ValueError):
-            finite_field(2)
+            CharSetting("finite_field", 2)
         # liftable automorphisms exist in characteristic 2
-        assert liftable(2).p == 2
+        assert CharSetting("liftable", 2).p == 2
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -101,48 +97,53 @@ class TestCharSetting:
 
 class TestAdmissibleCharpolys:
     def test_char0_power_of_single_factor(self):
-        assert admissible_transcendental_charpolys(42, char0(), 12) == [
+        assert admissible_transcendental_charpolys(42, CharSetting("char0"), 12) == [
             CycloFactorization({42: 1})
         ]
-        assert admissible_transcendental_charpolys(1, char0(), 1) == [
+        assert admissible_transcendental_charpolys(1, CharSetting("char0"), 1) == [
             CycloFactorization({1: 1})
         ]
 
     def test_char0_empty_when_phi_does_not_divide(self):
-        assert admissible_transcendental_charpolys(42, char0(), 13) == []
+        assert admissible_transcendental_charpolys(42, CharSetting("char0"), 13) == []
 
     def test_char0_nonempty_iff_phi_divides(self):
         for m in (1, 2, 3, 5, 7, 12, 42):
             for t_rank in range(1, 22):
-                result = admissible_transcendental_charpolys(m, char0(), t_rank)
+                result = admissible_transcendental_charpolys(m, CharSetting("char0"), t_rank)
                 assert bool(result) == (t_rank % euler_phi(m) == 0)
 
     def test_finite_field_includes_twisted_power(self):
-        result = admissible_transcendental_charpolys(1, finite_field(11), 20)
+        result = admissible_transcendental_charpolys(1, CharSetting("finite_field", 11), 20)
         assert CycloFactorization({11: 2}) in result
         assert CycloFactorization({1: 20}) in result
 
     def test_liftable_char2_table_row(self):
-        result = admissible_transcendental_charpolys(21, liftable(2), 12)
+        result = admissible_transcendental_charpolys(21, CharSetting("liftable", 2), 12)
         assert CycloFactorization({42: 1}) in result
         assert CycloFactorization({21: 1}) in result
 
     def test_rejects_p_dividing_m(self):
         with pytest.raises(ValueError):
-            admissible_transcendental_charpolys(22, liftable(11), 10)
+            admissible_transcendental_charpolys(22, CharSetting("liftable", 11), 10)
 
     def test_t_rank_range(self):
         with pytest.raises(ValueError):
-            admissible_transcendental_charpolys(1, char0(), 0)
+            admissible_transcendental_charpolys(1, CharSetting("char0"), 0)
         with pytest.raises(ValueError):
-            admissible_transcendental_charpolys(1, char0(), 22)
+            admissible_transcendental_charpolys(1, CharSetting("char0"), 22)
         # the cap is a parameter: widening it admits rank 22
-        assert admissible_transcendental_charpolys(1, char0(), 22, rank_cap=22) == [
+        assert admissible_transcendental_charpolys(1, CharSetting("char0"), 22, rank_cap=22) == [
             CycloFactorization({1: 22})
         ]
 
     def test_every_emitted_factorization_has_exact_degree(self):
-        settings = [char0(), liftable(3), finite_field(5), finite_height(3)]
+        settings = [
+            CharSetting("char0"),
+            CharSetting("liftable", 3),
+            CharSetting("finite_field", 5),
+            CharSetting("finite_height", 3),
+        ]
         for setting in settings:
             for m in (1, 2, 4, 7):
                 if setting.p is not None and m % setting.p == 0:
@@ -155,7 +156,7 @@ class TestAdmissibleCharpolys:
 
     def test_finite_height_matches_brute_force(self):
         m, p, t_rank = 1, 3, 8
-        got = set(admissible_transcendental_charpolys(m, finite_height(p), t_rank))
+        got = set(admissible_transcendental_charpolys(m, CharSetting("finite_height", p), t_rank))
         indices = []
         q = m
         while euler_phi(q) <= t_rank:
@@ -172,7 +173,7 @@ class TestAdmissibleCharpolys:
         assert got == expected
 
     def test_finite_height_flags_multi_factor(self):
-        result = admissible_transcendental_charpolys(1, finite_height(3), 6)
+        result = admissible_transcendental_charpolys(1, CharSetting("finite_height", 3), 6)
         multi = [f for f in result if not is_single_power(f)]
         assert CycloFactorization({1: 4, 3: 1}) in multi
         assert all(len(f.factors) > 1 for f in multi)

@@ -1,6 +1,10 @@
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -123,6 +127,47 @@ class TestClassifyFiber:
         assert report["result"]["type"] == "III"
         assert report["input"] == surface
         assert SNCSurface.from_json_dict(report["input"]).to_json_dict() == report["input"]
+
+    def test_aliasing_ids_are_bad_input(self, capsys, tmp_path):
+        # JSON true and 2.0 equal the ids 1 and 2 in Python, and would make this chain Type II
+        surface = {
+            "components": [{"id": 1, "b1": 0}, {"id": 2, "b1": 0}],
+            "double_curves": [{"id": "c", "components": [True, 2.0], "genus": 1}],
+        }
+        code, out, err = invoke(capsys, ["classify-fiber", payload_file(tmp_path, "alias.json", surface)])
+        assert (code, out) == (1, "") and "id True is not a JSON string or integer" in err
+        surface["double_curves"][0]["components"] = [1, 2]
+        assert invoke(capsys, ["classify-fiber", payload_file(tmp_path, "ints.json", surface)])[0] == 0
+
+    def test_closed_stdout_keeps_the_exit_code(self, tmp_path):
+        # a 1200-component chain makes a report of about 240 KB, more than a pipe buffers
+        n = 1200
+        surface = {
+            "components": [
+                {"id": f"Z{i}", "b1": 0 if i in (0, n - 1) else 2, "b2": 10 if i in (0, n - 1) else 2}
+                for i in range(n)
+            ],
+            "double_curves": [
+                {"id": f"C{i}", "components": [f"Z{i}", f"Z{i + 1}"], "genus": 1} for i in range(n - 1)
+            ],
+        }
+        path = payload_file(tmp_path, "chain.json", surface)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "k3degen.cli", "classify-fiber", path],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            assert proc.stdout.readline() == b"{\n"
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert code == 0 and err == "Type II, grw = [0, 2, 18, 2, 0]\n"
+        assert not any(word in err for word in ("error:", "Traceback", "Exception ignored"))
 
     def test_deterministic_output(self, capsys, tmp_path):
         path = payload_file(tmp_path, "tetra.json", TETRA_SURFACE)
@@ -297,6 +342,18 @@ class TestOrientCommand:
         path = payload_file(tmp_path, "torus.json", torus)
         code, out, err = invoke(capsys, ["orient", path])
         assert code == 1 and out == "" and "1 or -1" in err
+
+    def test_float_vertex_is_bad_input(self, capsys, tmp_path):
+        # 1.0 would otherwise stand for the vertex 1
+        pillow = {
+            "vertices": [0, 1, 2],
+            "edges": [{"id": "a", "v": [0, 1]}, {"id": "b", "v": [1, 2]}, {"id": "c", "v": [2, 0]}],
+            "triangles": [{"id": t, "edges": ["a", "b", "c"], "vertices": [0, 1, 2]} for t in ("T1", "T2")],
+        }
+        assert invoke(capsys, ["orient", payload_file(tmp_path, "pillow.json", pillow)])[0] == 0
+        pillow["edges"][0]["v"] = [0, 1.0]
+        code, out, err = invoke(capsys, ["orient", payload_file(tmp_path, "float.json", pillow)])
+        assert (code, out) == (1, "") and "id 1.0 is not a JSON string or integer" in err
 
     def test_repeated_edge_or_triangle_is_bad_input(self, capsys, tmp_path):
         tetra = {

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from k3degen.cyclotomic import bounded_orders, euler_phi
@@ -11,7 +13,6 @@ from k3degen.degeneration import (
     allowed_types_from_m,
     combine,
     moduli_dim,
-    potential_good_reduction_implied,
 )
 from k3degen.sncfiber import KulikovType
 
@@ -83,6 +84,14 @@ class TestAllowedTypesFromHeight:
             allowed_types_from_height(11)
         with pytest.raises(ValueError):
             allowed_types_from_height(2.5)
+
+    def test_infinite_is_not_a_number(self):
+        # no float or bool is a height: math.inf is not the sentinel and True is not height 1
+        assert INFINITE_HEIGHT == "infinite"
+        for bad in (math.inf, True, False, 1.0, "inf"):
+            with pytest.raises(ValueError):
+                allowed_types_from_height(bad)
+        assert "height infinite allows {I}" in combine(h=INFINITE_HEIGHT).reasons
 
 
 class TestCombine:
@@ -158,15 +167,3 @@ class TestModuliDim:
         assert moduli_dim(3, 20) == 0
         assert moduli_dim(19, 4) == 0
 
-
-class TestPotentialGoodReduction:
-    def test_primes(self):
-        assert potential_good_reduction_implied(5)
-        assert potential_good_reduction_implied(7)
-        assert potential_good_reduction_implied(11)
-        assert not potential_good_reduction_implied(3)
-        assert not potential_good_reduction_implied(2)
-
-    def test_rejects_composite(self):
-        with pytest.raises(ValueError):
-            potential_good_reduction_implied(9)

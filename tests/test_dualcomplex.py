@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import re
 
@@ -82,6 +83,21 @@ def wedge_of_tetrahedra():
 
 
 class TestConstruction:
+    @pytest.mark.parametrize("bad", [True, 1.0, None])
+    @pytest.mark.parametrize("path", [
+        ("vertices", 0), ("edges", 0, "id"), ("edges", 0, "v", 1),
+        ("triangles", 0, "id"), ("triangles", 0, "vertices", 2), ("triangles", 0, "edges", 2),
+    ])
+    def test_payload_ids_are_json_strings_or_integers(self, path, bad):
+        payload = pillow().to_json_dict()
+        assert DeltaComplex.from_json_dict(payload).homology_dims() == (1, 0, 1)
+        target = payload
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = bad
+        with pytest.raises(InvalidComplex, match="is not a JSON string or integer"):
+            DeltaComplex.from_json_dict(payload)
+
     def test_rejects_unknown_ids(self):
         with pytest.raises(InvalidComplex):
             DeltaComplex([0], {"e": (0, 1)}, {})
@@ -131,10 +147,11 @@ class TestConstruction:
                 )
 
     def test_json_roundtrip(self):
-        t = oracles.tetrahedron()
-        again = DeltaComplex.from_json_dict(t.to_json_dict())
-        assert again.counts() == t.counts()
-        assert again.homology_dims() == t.homology_dims()
+        # through JSON text, so every id is a JSON string; the torus keeps its loop signs
+        for c in (pillow(), torus()):
+            again = DeltaComplex.from_json_dict(json.loads(json.dumps(c.to_json_dict())))
+            assert again.to_json_dict() == c.to_json_dict()
+            assert again.homology_dims() == c.homology_dims()
 
 
 class TestHomology:

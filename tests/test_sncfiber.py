@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from k3degen.sncfiber import (
     Component,
     DoubleCurve,
-    GrWDims,
     KulikovType,
     MissingBetti,
     NotKulikov,
@@ -33,16 +33,34 @@ def chain_fiber(b2=(10, 2, 10)):
 def tetrahedral_fiber(b2=7):
     comps = [Component(i, 0, b2) for i in range(4)]
     curves = [
-        DoubleCurve((i, j), (i, j), 0) for i, j in itertools.combinations(range(4), 2)
+        DoubleCurve(f"C{i}{j}", (i, j), 0) for i, j in itertools.combinations(range(4), 2)
     ]
     points = [
-        TriplePoint((a, b, c), ((a, b), (b, c), (a, c)))
+        TriplePoint(f"P{a}{b}{c}", (f"C{a}{b}", f"C{b}{c}", f"C{a}{c}"))
         for a, b, c in itertools.combinations(range(4), 3)
     ]
     return SNCSurface(comps, curves, points)
 
 
 class TestValidation:
+    @pytest.mark.parametrize("bad", [True, 1.0, None])
+    @pytest.mark.parametrize("section, key, index", [
+        ("components", "id", None), ("double_curves", "id", None), ("triple_points", "id", None),
+        ("double_curves", "components", 1), ("triple_points", "curves", 2),
+    ])
+    def test_payload_ids_are_json_strings_or_integers(self, section, key, index, bad):
+        payload = json.loads(json.dumps(tetrahedral_fiber().to_json_dict()))
+        entry = payload[section][0]
+        if index is None:
+            entry[key] = bad
+        else:
+            entry[key][index] = bad
+        with pytest.raises(ValueError, match="is not a JSON string or integer"):
+            SNCSurface.from_json_dict(payload)
+
+    def test_constructors_take_any_hashable_id(self):
+        assert classify(SNCSurface([Component((0, "X"), 0, 22, "k3")], [])) is KulikovType.I
+
     def test_duplicate_ids(self):
         with pytest.raises(ValueError):
             SNCSurface([Component("A", 0), Component("A", 0)], [])
@@ -204,23 +222,15 @@ class TestClassify:
 
 class TestGrWDims:
     def test_table(self):
-        assert grw_dims(KulikovType.I).dims == (0, 0, 22, 0, 0)
-        assert grw_dims(KulikovType.II).dims == (0, 2, 18, 2, 0)
-        assert grw_dims(KulikovType.III).dims == (1, 0, 20, 0, 1)
+        assert grw_dims(KulikovType.I) == (0, 0, 22, 0, 0)
+        assert grw_dims(KulikovType.II) == (0, 2, 18, 2, 0)
+        assert grw_dims(KulikovType.III) == (1, 0, 20, 0, 1)
 
     def test_duality_and_total(self):
         for t in KulikovType:
-            dims = grw_dims(t).dims
+            dims = grw_dims(t)
             assert sum(dims) == 22
             assert all(dims[n] == dims[4 - n] for n in range(5))
-
-    def test_constructor_guards(self):
-        with pytest.raises(ValueError):
-            GrWDims((1, 0, 20, 0, 0))  # sum 21
-        with pytest.raises(ValueError):
-            GrWDims((2, 0, 18, 2, 0))  # sum 22 but not palindromic
-        with pytest.raises(ValueError):
-            GrWDims((0, 0, 22, 0))
 
 
 class TestE1Page:
@@ -271,7 +281,7 @@ class TestE1Page:
         ):
             grid = e1_page(fiber)
             alt = sum((-1) ** p * grid[(p, 2)] for p in range(-2, 3))
-            assert alt == grw_dims(t).dims[2]
+            assert alt == grw_dims(t)[2]
 
     def test_middle_diagonal_dominates_h2(self):
         for fiber in (smooth_fiber(), chain_fiber(), tetrahedral_fiber()):
@@ -282,24 +292,34 @@ class TestE1Page:
 class TestCrosscheck:
     def test_reports_pass_on_standard_fibers(self):
         for fiber in (smooth_fiber(), chain_fiber(), tetrahedral_fiber()):
-            report = crosscheck(fiber)
-            assert report.all_passed
-            names = {e.name for e in report.entries}
+            t, report = crosscheck(fiber)
+            assert report["all_passed"] is True and report["type"] == str(t)
+            names = {c["name"] for c in report["checks"]}
             assert "grw_duality_and_total" in names
 
     def test_type3_ties_top_weight_to_dual_complex(self):
-        report = crosscheck(tetrahedral_fiber())
-        assert any(e.name == "type3_top_weight_is_dual_complex_h2" and e.passed for e in report.entries)
+        _, report = crosscheck(tetrahedral_fiber())
+        assert {"name": "type3_top_weight_is_dual_complex_h2", "passed": True,
+                "detail": "h2(dual complex)=1, dims[4]=1, dims[0]=1"} in report["checks"]
 
     def test_json_shape(self):
-        data = crosscheck(smooth_fiber()).to_json_dict()
-        assert data["type"] == "I" and data["all_passed"] is True
+        t, report = crosscheck(smooth_fiber())
+        assert t is KulikovType.I
+        assert report == {
+            "type": "I",
+            "all_passed": True,
+            "checks": [
+                {"name": "grw_duality_and_total", "passed": True, "detail": "dims=[0, 0, 22, 0, 0], sum=22"},
+                {"name": "dual_complex_h2_vanishes", "passed": True, "detail": "h2(dual complex)=0"},
+            ],
+        }
 
 
 class TestSerialization:
     def test_roundtrip(self):
         s = tetrahedral_fiber()
-        again = SNCSurface.from_json_dict(s.to_json_dict())
+        again = SNCSurface.from_json_dict(json.loads(json.dumps(s.to_json_dict())))
+        assert again.to_json_dict() == s.to_json_dict()
         assert classify(again) is KulikovType.III
         assert e1_page(again) == e1_page(s)
 
