@@ -1,7 +1,8 @@
 """Exact stdout bytes, stderr and exit codes of the CLI on fixed inputs.
 
 Each case's expected stdout is ``tests/golden/<case>.stdout``. The bundled
-fibers are read from the package's fixture corpus; the torus fiber and the
+fibers are read from the package's fixture corpus; the torus fiber, a
+tetrahedral fiber with integer, quoted and non-ASCII ids, and the
 tetrahedron with a symmetry are payloads in ``tests/golden/``.
 """
 
@@ -35,6 +36,8 @@ CASES = {
         ["classify-fiber", str(GOLDEN / "torus_fiber.json")], 2,
         "not a Kulikov fiber: not Type I: 12 components, expected 1; not Type II: has triple points; "
         "not Type III: dual complex is not a sphere triangulation: Euler characteristic is 0, expected 2\n"),
+    "classify_awkward_ids": (
+        ["classify-fiber", str(GOLDEN / "awkward_ids_fiber.json")], 0, "Type III, grw = [1, 0, 20, 0, 1]\n"),
     "charpoly_char0": (
         ["charpoly", "--m", "42", "--t-rank", "12"], 0, "1 admissible characteristic polynomial(s)\n"),
     "charpoly_liftable": (

@@ -62,8 +62,11 @@ class TestValidation:
         assert classify(SNCSurface([Component((0, "X"), 0, 22, "k3")], [])) is KulikovType.I
 
     def test_duplicate_ids(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="repeated component id"):
             SNCSurface([Component("A", 0), Component("A", 0)], [])
+        comps = [Component("A", 0), Component("B", 0)]
+        with pytest.raises(ValueError, match="repeated double curve id"):
+            SNCSurface(comps, [DoubleCurve("C", ("A", "B"), 1), DoubleCurve("C", ("A", "B"), 1)])
 
     def test_duplicate_triple_point_ids(self):
         comps = [Component(x, 0) for x in "ABC"]
@@ -80,12 +83,18 @@ class TestValidation:
             SNCSurface(comps, curves, points)
 
     def test_curve_needs_distinct_components(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must join two distinct components"):
             DoubleCurve("C", ("A", "A"), 0)
 
     def test_curve_unknown_component(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'C' references an unknown component"):
             SNCSurface([Component("A", 0)], [DoubleCurve("C", ("A", "B"), 0)])
+
+    def test_triple_point_unknown_curve(self):
+        comps = [Component(x, 0) for x in "ABC"]
+        curves = [DoubleCurve("ab", ("A", "B"), 0), DoubleCurve("bc", ("B", "C"), 0)]
+        with pytest.raises(ValueError, match="'t' references an unknown double curve"):
+            SNCSurface(comps, curves, [TriplePoint("t", ("ab", "bc", "ca"))])
 
     def test_triple_point_share_violations(self):
         comps = [Component(x, 0) for x in "ABCD"]
@@ -95,13 +104,20 @@ class TestValidation:
             DoubleCurve("c3", ("B", "C"), 0),
             DoubleCurve("c4", ("C", "D"), 0),
         ]
-        with pytest.raises(ValueError):  # c1, c2 share two components
+        with pytest.raises(ValueError, match="curves 'c1' and 'c2' share 2 components"):
             SNCSurface(comps, curves, [TriplePoint("t", ("c1", "c2", "c3"))])
-        with pytest.raises(ValueError):  # c1, c4 share none
+        with pytest.raises(ValueError, match="curves 'c4' and 'c1' share 0 components"):
             SNCSurface(comps, curves, [TriplePoint("t", ("c1", "c3", "c4"))])
 
+    def test_triple_point_components_not_distinct(self):
+        # ab, ac, ad pairwise share only A: a fan of curves, not a triangle
+        comps = [Component(x, 0) for x in "ABCD"]
+        curves = [DoubleCurve(f"a{x.lower()}", ("A", x), 0) for x in "BCD"]
+        with pytest.raises(ValueError, match="'t': incident components are not distinct"):
+            SNCSurface(comps, curves, [TriplePoint("t", ("ab", "ac", "ad"))])
+
     def test_component_kind_checked(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown kind 'abelian'"):
             Component("A", 0, kind="abelian")
 
 
