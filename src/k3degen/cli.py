@@ -97,10 +97,47 @@ def _pretty(obj, depth: int = 0) -> str:
     return f"{opening}\n{inner}{body}\n{'  ' * depth}{closing}"
 
 
+def _echo_surface(surface: SNCSurface) -> str:
+    """Exactly _pretty(surface.to_json_dict(), 1), from one template per cell. from_json_dict
+    lets through only str and int ids and int numbers, so each scalar is one encoder call."""
+    ids = [c.id for c in surface.components] + [d.id for d in surface.double_curves]
+    ids += [t.id for t in surface.triple_points]
+    text = {x: encode_basestring_ascii(x) if type(x) is str else int.__repr__(x) for x in ids}
+    i8, i10 = " " * 8, " " * 10
+    components = [
+        f'{{\n{i8}"b1": {c.b1!r},'
+        + ("" if c.b2 is None else f'\n{i8}"b2": {c.b2!r},')
+        + f'\n{i8}"id": {text[c.id]}'
+        + ("" if c.kind is None else f',\n{i8}"kind": {encode_basestring_ascii(c.kind)}')
+        + "\n      }"
+        for c in surface.components
+    ]
+    curves = [
+        f'{{\n{i8}"components": [\n{i10}{text[a]},\n{i10}{text[b]}\n{i8}],'
+        f'\n{i8}"genus": {d.genus!r},\n{i8}"id": {text[d.id]}\n      }}'
+        for d in surface.double_curves
+        for a, b in (d.components,)
+    ]
+    points = [
+        f'{{\n{i8}"curves": [\n{i10}{text[x]},\n{i10}{text[y]},\n{i10}{text[z]}\n{i8}],'
+        f'\n{i8}"id": {text[t.id]}\n      }}'
+        for t in surface.triple_points
+        for x, y, z in (t.curves,)
+    ]
+    body = ",\n    ".join(
+        f'"{key}": [\n      ' + ",\n      ".join(cells) + "\n    ]" if cells else f'"{key}": []'
+        for key, cells in (("components", components), ("double_curves", curves), ("triple_points", points))
+    )
+    return f"{{\n    {body}\n  }}"
+
+
 def _emit(command: str, inputs, result) -> None:
-    report = {"command": command, "input": inputs, "result": result}
+    """Print the report; inputs is a JSON value, or its text as _pretty(inputs, 1) prints it."""
+    echo = inputs if type(inputs) is str else _pretty(inputs, 1)
+    command = encode_basestring_ascii(command)
+    report = f'{{\n  "command": {command},\n  "input": {echo},\n  "result": {_pretty(result, 1)}\n}}'
     try:
-        print(_pretty(report), flush=True)
+        print(report, flush=True)
     except BrokenPipeError:  # the reader closed stdout early (k3degen ... | head): not bad input
         import os  # stdout's fd goes to devnull, so the flush at exit stays quiet
 
@@ -116,7 +153,7 @@ def _summary(text: str) -> None:
 
 def _cmd_classify_fiber(args) -> int:
     surface = SNCSurface.from_json_dict(_read_payload(args.payload))
-    inputs = surface.to_json_dict()
+    inputs = _echo_surface(surface)
     try:
         t, check = crosscheck(surface)
     except NotKulikov as exc:

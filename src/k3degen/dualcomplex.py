@@ -42,6 +42,13 @@ def _require_json_ids(error, *groups):
             raise error(f"id {bad!r} is not a JSON string or integer")
 
 
+def _json_array(error, field, value):
+    """value as a tuple; tuple() of a JSON string would split it into one-character ids."""
+    if type(value) is not list:
+        raise error(f"{field} must be a JSON array, got {value!r}")
+    return tuple(value)
+
+
 def _classes(nodes, joins):
     """Union-find: the class representative of each node, where joins is a
     flat list [a0, b0, a1, b1, ...] of nodes joined in pairs."""
@@ -92,24 +99,20 @@ class DeltaComplex:
     """
 
     def __init__(self, vertices, edges, triangles):
-        self.vertices = tuple(vertices)
-        if len(set(self.vertices)) != len(self.vertices):
+        vertices = tuple(vertices)
+        vertex_set = set(vertices)
+        if len(vertex_set) != len(vertices):
             raise InvalidComplex("repeated vertex id")
-        vertex_set = set(self.vertices)
 
-        # incidence, indexed once: edge -> glued sides as a flat list [tid, i, ...]
-        self._sides = {}
-
-        self.edges = {}
+        checked_edges = {}
         for eid, pair in dict(edges).items():
             a, b = pair
             if a not in vertex_set or b not in vertex_set:
                 raise InvalidComplex(f"edge {eid!r} references an unknown vertex")
-            self.edges[eid] = tuple(pair)
-            self._sides[eid] = []
+            checked_edges[eid] = tuple(pair)
 
-        self.triangles = {}
-        self.triangle_signs = {}
+        checked_triangles = {}
+        triangle_signs = {}
         for tid, data in dict(triangles).items():
             if len(data) == 2:
                 (verts, tri_edges), signs = data, (None, None, None)
@@ -120,16 +123,23 @@ class DeltaComplex:
                 raise InvalidComplex(f"triangle {tid!r} needs 3 vertices, edges, and signs")
             if any(v not in vertex_set for v in verts):
                 raise InvalidComplex(f"triangle {tid!r} references an unknown vertex")
-            if any(e not in self.edges for e in tri_edges):
+            if any(e not in checked_edges for e in tri_edges):
                 raise InvalidComplex(f"triangle {tid!r} references an unknown edge")
-            resolved = tuple(
-                _infer_sign(self.edges[tri_edges[i]], verts[i], verts[(i + 1) % 3], signs[i])
+            triangle_signs[tid] = tuple(
+                _infer_sign(checked_edges[tri_edges[i]], verts[i], verts[(i + 1) % 3], signs[i])
                 for i in range(3)
             )
-            self.triangles[tid] = (verts, tri_edges)
-            self.triangle_signs[tid] = resolved
+            checked_triangles[tid] = (verts, tri_edges)
+        self._build(vertices, checked_edges, checked_triangles, triangle_signs)
+
+    def _build(self, vertices, edges, triangles, triangle_signs):
+        """Assign cells that the caller has checked, and index each edge's sides; returns self."""
+        self.vertices, self.edges, self.triangles, self.triangle_signs = vertices, edges, triangles, triangle_signs
+        self._sides = {eid: [] for eid in edges}  # edge -> glued sides as a flat list [tid, i, ...]
+        for tid, (_, tri_edges) in triangles.items():
             for i in range(3):
                 self._sides[tri_edges[i]] += (tid, i)
+        return self
 
     # -- incidence helpers -------------------------------------------------
 
@@ -263,15 +273,19 @@ class DeltaComplex:
     @classmethod
     def from_json_dict(cls, data: dict) -> "DeltaComplex":
         try:
-            vertices = data["vertices"]
-            edges = {e["id"]: tuple(e["v"]) for e in data["edges"]}
+            vertices = _json_array(InvalidComplex, "vertices", data["vertices"])
+            edge_list = _json_array(InvalidComplex, "edges", data["edges"])
+            edges = {e["id"]: _json_array(InvalidComplex, "edge v", e["v"]) for e in edge_list}
             triangles = {}
-            for t in data["triangles"]:
-                signs = tuple(t["signs"]) if "signs" in t else (None, None, None)
-                triangles[t["id"]] = (tuple(t["vertices"]), tuple(t["edges"]), signs)
+            for t in _json_array(InvalidComplex, "triangles", data["triangles"]):
+                triangles[t["id"]] = (
+                    _json_array(InvalidComplex, "triangle vertices", t["vertices"]),
+                    _json_array(InvalidComplex, "triangle edges", t["edges"]),
+                    _json_array(InvalidComplex, "triangle signs", t["signs"]) if "signs" in t else (None,) * 3,
+                )
         except (KeyError, TypeError) as exc:
             raise InvalidComplex(f"malformed complex payload: {exc}") from exc
-        if len(edges) != len(data["edges"]):
+        if len(edges) != len(edge_list):
             raise InvalidComplex("repeated edge id")
         if len(triangles) != len(data["triangles"]):
             raise InvalidComplex("repeated triangle id")

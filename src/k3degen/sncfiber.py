@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .dualcomplex import DeltaComplex, _require_json_ids, sphere_failure
+from .dualcomplex import DeltaComplex, _json_array, _require_json_ids, sphere_failure
 
 KINDS = ("rational", "elliptic_ruled", "k3")
 
@@ -91,30 +91,30 @@ class SNCSurface:
         self.double_curves = tuple(double_curves)
         self.triple_points = tuple(triple_points)
 
-        comp_ids = [c.id for c in self.components]
-        if len(set(comp_ids)) != len(comp_ids):
-            raise ValueError("repeated component id")
+        comp_ids = tuple(c.id for c in self.components)
         comp_set = set(comp_ids)
-        curve_ids = [d.id for d in self.double_curves]
-        if len(set(curve_ids)) != len(curve_ids):
-            raise ValueError("repeated double curve id")
-        point_ids = [t.id for t in self.triple_points]
-        if len(set(point_ids)) != len(point_ids):
-            raise ValueError("repeated triple point id")
+        if len(comp_set) != len(comp_ids):
+            raise ValueError("repeated component id")
         curves_by_id = {d.id: d for d in self.double_curves}
+        if len(curves_by_id) != len(self.double_curves):
+            raise ValueError("repeated double curve id")
+        if len({t.id for t in self.triple_points}) != len(self.triple_points):
+            raise ValueError("repeated triple point id")
 
         for d in self.double_curves:
-            if any(c not in comp_set for c in d.components):
+            if not comp_set.issuperset(d.components):
                 raise ValueError(f"double curve {d.id!r} references an unknown component")
 
         triangles = {}
+        signs = {}
         for t in self.triple_points:
             if any(did not in curves_by_id for did in t.curves):
                 raise ValueError(f"triple point {t.id!r} references an unknown double curve")
             d = [curves_by_id[did] for did in t.curves]
+            ends = [set(x.components) for x in d]
             shared = []
             for i in range(3):
-                common = set(d[i].components) & set(d[(i + 1) % 3].components)
+                common = ends[i] & ends[(i + 1) % 3]
                 if len(common) != 1:
                     raise ValueError(
                         f"triple point {t.id!r}: curves {d[i].id!r} and {d[(i + 1) % 3].id!r} "
@@ -123,10 +123,16 @@ class SNCSurface:
                 shared.append(common.pop())
             if len(set(shared)) != 3:
                 raise ValueError(f"triple point {t.id!r}: incident components are not distinct")
-            # shared[i] is common to curves i and i+1; curve 0 joins shared[2], shared[0]
-            v0, v1, v2 = shared[2], shared[0], shared[1]
-            triangles[t.id] = ((v0, v1, v2), tuple(t.curves))
-        self._complex = DeltaComplex(comp_ids, {d.id: d.components for d in self.double_curves}, triangles)
+            # shared[i] is common to curves i and i+1, so curve i joins v[i] = shared[i - 1]
+            # and v[i + 1] = shared[i]; side i runs along it forwards iff it starts at v[i]
+            v = (shared[2], shared[0], shared[1])
+            triangles[t.id] = (v, tuple(t.curves))
+            signs[t.id] = tuple(1 if d[i].components[0] == v[i] else -1 for i in range(3))
+        # DeltaComplex's checks follow from these, so they are not run again: ids are unique,
+        # each curve joins two distinct known components (no unknown end, no loop), and each
+        # point's curves pairwise share exactly one component (so side i's edge joins v[i], v[i + 1])
+        edges = {d.id: tuple(d.components) for d in self.double_curves}
+        self._complex = DeltaComplex.__new__(DeltaComplex)._build(comp_ids, edges, triangles, signs)
 
     def dual_complex(self) -> DeltaComplex:
         """Vertex per component, edge per double curve, triangle per triple point."""
@@ -135,7 +141,7 @@ class SNCSurface:
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "components": [
                 {
                     "id": c.id,
@@ -151,7 +157,6 @@ class SNCSurface:
             ],
             "triple_points": [{"id": t.id, "curves": list(t.curves)} for t in self.triple_points],
         }
-        return out
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SNCSurface":
@@ -161,11 +166,13 @@ class SNCSurface:
                 for c in data["components"]
             ]
             curves = [
-                DoubleCurve(d["id"], tuple(d["components"]), d["genus"])
+                DoubleCurve(
+                    d["id"], _json_array(ValueError, "double curve components", d["components"]), d["genus"]
+                )
                 for d in data["double_curves"]
             ]
             points = [
-                TriplePoint(t.get("id", f"t{i}"), tuple(t["curves"]))
+                TriplePoint(t.get("id", f"t{i}"), _json_array(ValueError, "triple point curves", t["curves"]))
                 for i, t in enumerate(data.get("triple_points", []))
             ]
         except (KeyError, TypeError) as exc:

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -6,11 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
-from hypothesis import example, given, settings, strategies as st
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from k3degen import corpus
 from k3degen.cli import _pretty, run
-from k3degen.sncfiber import SNCSurface
+from k3degen.dualcomplex import DeltaComplex
+from k3degen.sncfiber import KINDS, SNCSurface
+from test_dualcomplex import generated_complexes
 
 
 def _no_constant(name):
@@ -371,6 +375,50 @@ class TestOrientCommand:
             assert code == 1 and out == "" and "repeated" in err
 
 
+# a tetrahedron with one-character ids, so a string in place of an id array spells valid ids
+_EDGES = dict(zip("pqrstu", ("ab", "ac", "ad", "bc", "bd", "cd")))
+_FACES = dict(zip("ABCD", ("psq", "ptr", "qur", "sut")))
+SPELLED = {
+    "classify-fiber": {
+        "components": [{"id": x, "b1": 0} for x in "abcd"],
+        "double_curves": [{"id": e, "components": list(ends), "genus": 0} for e, ends in _EDGES.items()],
+        "triple_points": [{"id": f, "curves": list(curves)} for f, curves in _FACES.items()],
+    },
+    "orient": {
+        "vertices": list("abcd"),
+        "edges": [{"id": e, "v": list(ends)} for e, ends in _EDGES.items()],
+        "triangles": [
+            {"id": f, "edges": list(es), "vertices": list(_EDGES[es[0]] + _EDGES[es[1]][1]), "signs": [1, 1, -1]}
+            for f, es in _FACES.items()
+        ],
+    },
+}
+
+
+class TestIdArrays:
+    @pytest.mark.parametrize("command, where, value, field", [
+        ("classify-fiber", ("double_curves", 0, "components"), "ab", "double curve components"),
+        ("classify-fiber", ("triple_points", 0, "curves"), "psq", "triple point curves"),
+        ("orient", ("vertices",), "abcd", "vertices"),
+        ("orient", ("edges",), {"id": "p", "v": ["a", "b"]}, "edges"),
+        ("orient", ("triangles",), {"id": "A", "edges": ["p", "s", "q"], "vertices": ["a", "b", "c"]}, "triangles"),
+        ("orient", ("edges", 0, "v"), "ab", "edge v"),
+        ("orient", ("triangles", 0, "vertices"), "abc", "triangle vertices"),
+        ("orient", ("triangles", 0, "edges"), "psq", "triangle edges"),
+        ("orient", ("triangles", 0, "signs"), "11-", "triangle signs"),
+    ])
+    def test_string_for_an_array_is_bad_input(self, capsys, tmp_path, command, where, value, field):
+        payload = json.loads(json.dumps(SPELLED[command]))
+        assert invoke(capsys, [command, payload_file(tmp_path, "arrays.json", payload)])[0] == 0
+        *path, key = where
+        target = payload
+        for step in path:
+            target = target[step]
+        target[key] = value
+        code, out, err = invoke(capsys, [command, payload_file(tmp_path, "string.json", payload)])
+        assert (code, out, err) == (1, "", f"error: {field} must be a JSON array, got {value!r}\n")
+
+
 class TestEulerCommand:
     def test_generic_configuration(self, capsys, tmp_path):
         path = payload_file(tmp_path, "fibers.json", {"fibers": {"II": 1, "I1": 22}})
@@ -503,3 +551,79 @@ class TestPretty:
     @example([[[[[[[[[[[[[[[[[[[[1]]]]]]]]]]]]]]]]]]]])
     def test_matches_json_dumps(self, tree):
         assert _pretty(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+# ids of every JSON kind the readers accept: ints past +-2**64 and text with quotes, backslashes,
+# control characters and non-ASCII
+_IDS = st.integers() | st.integers(2**64, 2**200) | st.integers(-(2**200), -(2**64)) | _TEXT
+
+
+@st.composite
+def fiber_payloads(draw):
+    """(payload, triangles): a classify-fiber payload with awkward ids, and each triangle's
+    vertices in the order the fiber must derive them. The strata come from a generated
+    complex, keeping the triangles with three distinct vertices and the edges that are
+    not loops, or from a chain or cycle of components with no triple points."""
+    shape = draw(st.sampled_from(("complex", "complex", "complex", "chain", "cycle")))
+    if shape == "complex":
+        vertices, edges, triangles = draw(generated_complexes())
+        edges = {e: ends for e, ends in edges.items() if ends[0] != ends[1]}
+        triangles = {t: (verts, es) for t, (verts, es, _) in triangles.items() if len(set(verts)) == 3}
+    else:
+        vertices = list(range(draw(st.integers(0 if shape == "chain" else 3, 6))))
+        joins = len(vertices) - (shape == "chain") if vertices else 0
+        edges = {k: (k, (k + 1) % len(vertices)) for k in range(joins)}
+        triangles = {}
+    relabel = lambda cells: dict(zip(cells, draw(st.lists(_IDS, min_size=len(cells), max_size=len(cells), unique=True))))
+    name, curve_name = relabel(vertices), relabel(edges)
+    points = []
+    for verts, es in triangles.values():
+        point = {"curves": [curve_name[e] for e in es]}
+        if draw(st.booleans()):  # an absent id defaults to t<i>
+            point = {"id": draw(_IDS), **point}
+        points.append(point)
+    ids = [p.get("id", f"t{i}") for i, p in enumerate(points)]
+    assume(len(set(ids)) == len(ids))
+    optional = lambda key, values: {key: draw(st.sampled_from(values))} if draw(st.booleans()) else {}
+    payload = {
+        "components": [
+            {"id": name[v], "b1": draw(st.sampled_from((0, 0, 2, 1))), **optional("b2", (0, 7, 22, 10**30)),
+             **optional("kind", KINDS)}
+            for v in vertices
+        ],
+        "double_curves": [
+            {"id": curve_name[e], "components": [name[a], name[b]], "genus": draw(st.sampled_from((0, 1, 3)))}
+            for e, (a, b) in edges.items()
+        ],
+        **({"triple_points": points} if points or draw(st.booleans()) else {}),
+    }
+    return payload, [tuple(name[v] for v in verts) for verts, _ in triangles.values()]
+
+
+class TestFiberPaths:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(fiber_payloads())
+    def test_echo_and_dual_complex_match_the_reference_paths(self, tmp_path_factory, drawn):
+        payload, triangle_vertices = drawn
+        path = tmp_path_factory.getbasetemp() / "fiber.json"
+        path.write_text(json.dumps(payload))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = run(["classify-fiber", str(path)])
+        assert code in (0, 2)
+        report = json.loads(out.getvalue())
+        surface = SNCSurface.from_json_dict(payload)
+        assert report["input"] == surface.to_json_dict()
+        assert out.getvalue() == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+        fast = surface.dual_complex()
+        checked = DeltaComplex(
+            [c.id for c in surface.components],
+            {d.id: d.components for d in surface.double_curves},
+            {t.id: (verts, t.curves) for t, verts in zip(surface.triple_points, triangle_vertices)},
+        )
+        for attr in ("vertices", "edges", "triangles", "triangle_signs", "_sides"):
+            value, expected = getattr(fast, attr), getattr(checked, attr)
+            assert value == expected and list(getattr(value, "items", value.__iter__)()) == list(
+                getattr(expected, "items", expected.__iter__)()
+            ), attr
