@@ -238,6 +238,34 @@ def octahedron() -> DeltaComplex:
     return DeltaComplex(vertices, edges, triangles)
 
 
+def _simplicial(n, triples) -> DeltaComplex:
+    """The complex on vertices 0..n-1 whose triangles are the given vertex
+    triples, each side along the edge between its ends. Edge ids "ab" and
+    triangle ids "abc" are strings, so the complex round-trips through JSON."""
+    edges, triangles = {}, {}
+    for a, b, c in map(sorted, triples):
+        for x, y in ((a, b), (b, c), (a, c)):
+            edges[f"{x}{y}"] = (x, y)
+        triangles[f"{a}{b}{c}"] = ((a, b, c), (f"{a}{b}", f"{b}{c}", f"{a}{c}"))
+    return DeltaComplex(range(n), edges, triangles)
+
+
+def seven_vertex_torus() -> DeltaComplex:
+    """Moebius' minimal torus: 14 triangles {i, i+1, i+3}, {i, i+2, i+3} mod 7
+    on all 21 edges of K7; h = (1, 2, 1)."""
+    return _simplicial(7, [(i, (i + d) % 7, (i + 3) % 7) for i in range(7) for d in (1, 2)])
+
+
+def six_vertex_rp2() -> DeltaComplex:
+    """The hemi-icosahedron, the minimal RP^2: 10 triangles on all 15 edges
+    of K6, a disc fanned round vertex 0 with antipodal rim points glued;
+    h = (1, 0, 0)."""
+    return _simplicial(6, [
+        (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+        (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5),
+    ])
+
+
 def vertex_symmetries(complex_: DeltaComplex):
     """All automorphisms induced by vertex permutations (no multi-edges)."""
     n = len(complex_.vertices)
@@ -260,6 +288,21 @@ def vertex_symmetries(complex_: DeltaComplex):
 # -- surfaces from raw incidence data -----------------------------------------
 # edges: id -> (tail, head); triangles: id -> (vertices, edges, signs) with every
 # side sign explicit. Nothing here reads DeltaComplex's own incidence index.
+
+
+def is_connected(nodes, pairs) -> bool:
+    """Whether the nodes form one nonempty class once each (a, b) pair is
+    joined: a bare union-find, without the library's path halving."""
+    root = {x: x for x in nodes}
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for a, b in pairs:
+        root[find(a)] = find(b)
+    return len({find(x) for x in nodes}) == 1
 
 
 def link_is_cycle(vertex, edges, triangles) -> bool:

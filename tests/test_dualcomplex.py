@@ -82,6 +82,28 @@ def wedge_of_tetrahedra():
     return DeltaComplex(range(7), edges, triangles)
 
 
+def open_triangle():
+    return DeltaComplex(
+        [0, 1, 2],
+        {"e0": (0, 1), "e1": (1, 2), "e2": (2, 0)},
+        {"t": ((0, 1, 2), ("e0", "e1", "e2"))},
+    )
+
+
+def tetrahedron_and_lonely_vertex():
+    t = oracles.tetrahedron()
+    return DeltaComplex(list(t.vertices) + ["lonely"], t.edges, t.triangles)
+
+
+def three_sheets():
+    # the pillow with a third copy of its triangle: every edge on three sides
+    return DeltaComplex(
+        ["A", "B", "C"],
+        {"ab": ("A", "B"), "bc": ("B", "C"), "ca": ("C", "A")},
+        {t: (("A", "B", "C"), ("ab", "bc", "ca")) for t in ("T1", "T2", "T3")},
+    )
+
+
 class TestConstruction:
     @pytest.mark.parametrize("bad", [True, 1.0, None])
     @pytest.mark.parametrize("path", [
@@ -176,6 +198,10 @@ class TestHomology:
     def test_projective_plane_rational(self):
         assert projective_plane().homology_dims() == (1, 0, 0)
 
+    def test_minimal_triangulations(self):
+        for c, h in ((oracles.seven_vertex_torus(), (1, 2, 1)), (oracles.six_vertex_rp2(), (1, 0, 0))):
+            assert c.homology_dims() == oracles.raw_homology(*_raw(c)) == h
+
     def test_wedge_of_spheres(self):
         assert wedge_of_tetrahedra().homology_dims() == (1, 0, 2)
 
@@ -209,29 +235,22 @@ class TestSphereRecognition:
             assert c.homology_dims() == (1, 0, 1)
 
     def test_open_triangle_fails_on_edges(self):
-        c = DeltaComplex(
-            [0, 1, 2],
-            {"e0": (0, 1), "e1": (1, 2), "e2": (2, 0)},
-            {"t": ((0, 1, 2), ("e0", "e1", "e2"))},
-        )
-        assert "triangle sides" in sphere_failure(c)
+        assert sphere_failure(open_triangle()) == "edge 'e0' lies on 1 triangle sides, expected 2"
 
     def test_wedge_fails_on_link(self):
-        assert "link" in sphere_failure(wedge_of_tetrahedra())
+        assert sphere_failure(wedge_of_tetrahedra()) == "link of vertex 0 is not a single circle"
 
     def test_projective_plane_fails_on_orientability(self):
         assert sphere_failure(projective_plane()) == "not orientable"
 
     def test_torus_fails_on_euler(self):
-        assert "Euler characteristic" in sphere_failure(torus())
+        assert sphere_failure(torus()) == "Euler characteristic is 0, expected 2"
 
     def test_disconnected_fails(self):
-        t = oracles.tetrahedron()
-        c = DeltaComplex(list(t.vertices) + ["lonely"], t.edges, t.triangles)
-        assert sphere_failure(c) == "not connected"
+        assert sphere_failure(tetrahedron_and_lonely_vertex()) == "not connected"
 
     def test_empty_fails(self):
-        assert sphere_failure(DeltaComplex([], {}, {})) is not None
+        assert sphere_failure(DeltaComplex([], {}, {})) == "empty complex or no triangles"
 
     def test_subdivided_octahedron_at_scale(self):
         c = oracles.octahedron()
@@ -275,7 +294,10 @@ def _merged(raw, keep, drop):
     )
 
 
-_SURFACES = (oracles.tetrahedron, oracles.octahedron, pillow, torus, projective_plane, klein_bottle)
+_SURFACES = (
+    oracles.tetrahedron, oracles.octahedron, pillow, torus, projective_plane, klein_bottle,
+    oracles.seven_vertex_torus, oracles.six_vertex_rp2,
+)
 
 
 @st.composite
@@ -307,13 +329,38 @@ def _clause(reason):
     return None if reason is None else re.sub(r"'[^']*'|\d+", "#", reason)
 
 
+def _raw_sides(edges, triangles):
+    """edge -> the (triangle, side sign) pairs of its sides, read from the raw triangles."""
+    sides = {e: [] for e in edges}
+    for t, (_, tri_edges, signs) in triangles.items():
+        for e, s in zip(tri_edges, signs):
+            sides[e].append((t, s))
+    return sides
+
+
+def _expected_failure(vertices, edges, triangles):
+    """The clause sphere_failure must report, from the raw data alone."""
+    if not vertices or not triangles:
+        return "empty complex or no triangles"
+    if not oracles.is_connected(vertices, edges.values()):
+        return "not connected"
+    for e, sides in _raw_sides(edges, triangles).items():
+        if len(sides) != 2:
+            return f"edge {e!r} lies on {len(sides)} triangle sides, expected 2"
+    for v in vertices:
+        if not oracles.link_is_cycle(v, edges, triangles):
+            return f"link of vertex {v!r} is not a single circle"
+    # a connected closed surface has h2 = 1 if it is orientable and 0 if not
+    if oracles.raw_homology(vertices, edges, triangles)[2] == 0:
+        return "not orientable"
+    chi = len(vertices) - len(edges) + len(triangles)
+    return None if chi == 2 else f"Euler characteristic is {chi}, expected 2"
+
+
 def _check_against_oracle(raw):
     reason = sphere_failure(DeltaComplex(*raw))
+    assert reason == _expected_failure(*raw)
     assert (reason is None) == oracles.is_sphere(*raw)
-    if reason is not None and reason.startswith("link"):
-        vertices, edges, triangles = raw
-        first = next(v for v in vertices if not oracles.link_is_cycle(v, edges, triangles))
-        assert reason == f"link of vertex {first!r} is not a single circle"
     return reason
 
 
@@ -342,6 +389,27 @@ class TestGeneratedSurfaces:
         )
         before = sphere_failure(DeltaComplex(*raw))
         assert _clause(_check_against_oracle(again)) == _clause(before)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(generated_complexes())
+    def test_orient_matches_oracle(self, raw):
+        vertices, edges, triangles = raw
+        sides = _raw_sides(edges, triangles)
+        closed = all(len(pairs) == 2 for pairs in sides.values())
+        orientable = (
+            closed
+            and oracles.is_connected(vertices, edges.values())
+            and oracles.is_connected(triangles, [(t1, t2) for (t1, _), (t2, _) in sides.values()])
+            and oracles.raw_homology(*raw)[2] == 1
+        )
+        try:
+            orientation = orient(DeltaComplex(*raw))
+        except (InvalidComplex, NonOrientable):
+            assert not orientable
+            return
+        assert orientable
+        for (t1, s1), (t2, s2) in sides.values():
+            assert orientation[t1] * s1 + orientation[t2] * s2 == 0
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(generated_complexes())
@@ -394,13 +462,22 @@ class TestOrient:
         assert set(signs.values()) <= {1, -1}
 
     def test_requires_closed(self):
-        c = DeltaComplex(
-            [0, 1, 2],
-            {"e0": (0, 1), "e1": (1, 2), "e2": (2, 0)},
-            {"t": ((0, 1, 2), ("e0", "e1", "e2"))},
-        )
-        with pytest.raises(InvalidComplex):
-            orient(c)
+        with pytest.raises(InvalidComplex, match="lies on 1 triangle sides, expected 2"):
+            orient(open_triangle())
+
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: DeltaComplex([0], {}, {}), InvalidComplex, "nothing to orient: no triangles"),
+        (tetrahedron_and_lonely_vertex, InvalidComplex, "orientation requires a connected complex"),
+        (open_triangle, InvalidComplex, "edge 'e0' lies on 1 triangle sides, expected 2"),
+        (three_sheets, InvalidComplex, "edge 'ab' lies on 3 triangle sides, expected 2"),
+        (wedge_of_tetrahedra, InvalidComplex, "triangles not connected through shared edges"),
+        (projective_plane, NonOrientable, "orientation contradiction at triangle 'L'"),
+        (klein_bottle, NonOrientable, "orientation contradiction at triangle 'U'"),
+    ])
+    def test_messages(self, make, error, message):
+        with pytest.raises(error) as info:
+            orient(make())
+        assert str(info.value) == message
 
 
 class TestAutomorphisms:

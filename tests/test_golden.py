@@ -2,8 +2,9 @@
 
 Each case's expected stdout is ``tests/golden/<case>.stdout``. The bundled
 fibers are read from the package's fixture corpus; the torus fiber, a
-tetrahedral fiber with integer, quoted and non-ASCII ids, and the
-tetrahedron with a symmetry are payloads in ``tests/golden/``.
+tetrahedral fiber with integer, quoted and non-ASCII ids, the tetrahedron
+with a symmetry, and the 6-vertex RP^2 of ``oracles.six_vertex_rp2`` as a
+fiber and as a complex are payloads in ``tests/golden/``.
 """
 
 import json
@@ -51,6 +52,12 @@ CASES = {
         "2 admissible characteristic polynomial(s)\n"),
     "allowed_types_infinite_height": (
         ["allowed-types", "--height", "infinite"], 0, "allowed types: ['I']\n"),
+    "classify_rp2": (
+        ["classify-fiber", str(GOLDEN / "rp2_fiber.json")], 2,
+        "not a Kulikov fiber: not Type I: 6 components, expected 1; not Type II: has triple points; "
+        "not Type III: dual complex is not a sphere triangulation: not orientable\n"),
+    "orient_rp2": (
+        ["orient", str(GOLDEN / "rp2_complex.json")], 2, "non-orientable: orientation contradiction at triangle '245'\n"),
     "orient_tetrahedron_symmetry": (
         ["orient", str(GOLDEN / "tetrahedron_orient.json")], 0, "orientable, action -1\n"),
 }
