@@ -22,8 +22,8 @@ FINITE_FIELD = "finite_field"
 
 # K3 transcendental rank is at most 21: the Neron-Severi rank is >= 1.
 # This cap also reproduces the prime-power enumeration with 23 excluded
-# (phi(23) = 22); pass rank_cap=22 to audit the weaker degree bound.
-DEFAULT_RANK_CAP = 21
+# (phi(23) = 22).
+_RANK_CAP = 21
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -97,9 +97,7 @@ def _power_candidates(m: int, p: int, t_rank: int):
     return out
 
 
-def admissible_transcendental_charpolys(
-    m: int, setting: CharSetting, t_rank: int, rank_cap: int = DEFAULT_RANK_CAP
-) -> list[CycloFactorization]:
+def admissible_transcendental_charpolys(m: int, setting: CharSetting, t_rank: int) -> list[CycloFactorization]:
     """All characteristic polynomials the transcendental action can have.
 
     m is the order of the automorphism's image on the 2-forms, t_rank the
@@ -108,8 +106,8 @@ def admissible_transcendental_charpolys(
     """
     if m < 1:
         raise ValueError("m must be positive")
-    if not 1 <= t_rank <= rank_cap:
-        raise ValueError(f"t_rank must lie in 1..{rank_cap}, got {t_rank}")
+    if not 1 <= t_rank <= _RANK_CAP:
+        raise ValueError(f"t_rank must lie in 1..{_RANK_CAP}, got {t_rank}")
     p = setting.p
     if p is not None and m % p == 0:
         raise ValueError(f"p = {p} must not divide m = {m} in a characteristic-p setting")

@@ -310,10 +310,9 @@ def sphere_failure(c: DeltaComplex):
         return "empty complex or no triangles"
     if c.component_count() != 1:
         return "not connected"
-    for eid in c.edges:
-        n = len(c.sides_of_edge(eid))
-        if n != 2:
-            return f"edge {eid!r} lies on {n} triangle sides, expected 2"
+    for eid, flat in c._sides.items():
+        if len(flat) != 4:
+            return f"edge {eid!r} lies on {len(flat) // 2} triangle sides, expected 2"
     # relies on the edge check above: with every edge on two sides, every
     # edge-end meets two corners, so each link is a disjoint union of circles
     circles = c._link_circles()
@@ -321,7 +320,7 @@ def sphere_failure(c: DeltaComplex):
         if circles[v] != 1:
             return f"link of vertex {v!r} is not a single circle"
     try:
-        orient(c)
+        _propagate(c)  # orient's own checks, connectivity and pairing, are proven above
     except NonOrientable:
         return "not orientable"
     if c.euler_characteristic() != 2:
@@ -340,24 +339,24 @@ def orient(c: DeltaComplex) -> dict:
         raise InvalidComplex("nothing to orient: no triangles")
     if c.component_count() != 1:
         raise InvalidComplex("orientation requires a connected complex")
-    neighbors = {tid: [] for tid in c.triangles}  # flat: [neighbor, relative sign, ...]
-    for eid in c.edges:
-        sides = c.sides_of_edge(eid)
-        if len(sides) != 2:
-            raise InvalidComplex(
-                f"edge {eid!r} lies on {len(sides)} triangle sides, expected 2"
-            )
-        (t1, i1), (t2, i2) = sides
-        s1 = c.triangle_signs[t1][i1]
-        s2 = c.triangle_signs[t2][i2]
-        # or[t1]*s1 + or[t2]*s2 = 0  <=>  or[t2] = -or[t1]*s1*s2
-        neighbors[t1] += (t2, -s1 * s2)
-        neighbors[t2] += (t1, -s1 * s2)
+    return _propagate(c)
 
-    orientation = {}
+
+def _propagate(c: DeltaComplex) -> dict:
+    """orient on a connected complex with triangles: pair each edge's two
+    sides, then propagate signs breadth-first from the first triangle."""
+    neighbors = {tid: [] for tid in c.triangles}  # flat: [neighbor, relative sign, ...]
+    for eid, flat in c._sides.items():
+        if len(flat) != 4:
+            raise InvalidComplex(f"edge {eid!r} lies on {len(flat) // 2} triangle sides, expected 2")
+        t1, i1, t2, i2 = flat
+        # or[t1]*s1 + or[t2]*s2 = 0  <=>  or[t2] = -or[t1]*s1*s2
+        rel = -c.triangle_signs[t1][i1] * c.triangle_signs[t2][i2]
+        neighbors[t1] += (t2, rel)
+        neighbors[t2] += (t1, rel)
+
     seed = next(iter(c.triangles))
-    orientation[seed] = 1
-    queue = deque([seed])
+    orientation, queue = {seed: 1}, deque([seed])
     while queue:
         t = queue.popleft()
         flat = neighbors[t]
@@ -490,9 +489,14 @@ class ComplexAutomorphism:
     @classmethod
     def from_json_dict(cls, complex: DeltaComplex, data: dict) -> "ComplexAutomorphism":
         try:
-            return cls(complex, data["vertex_map"], data["edge_map"], data["triangle_map"])
+            maps = data["vertex_map"], data["edge_map"], data["triangle_map"]
         except KeyError as exc:
             raise InvalidComplex(f"malformed automorphism payload: missing {exc}") from exc
+        for name, mapping, ids in zip(("vertex", "edge", "triangle"), maps, (complex.vertices, complex.edges, complex.triangles)):
+            bad = next((x for x in ids if type(x) is not str), None)
+            if type(mapping) is dict and bad is not None:  # a list of [id, image] pairs can name ints
+                raise InvalidComplex(f"automorphism maps are JSON objects, so they need string ids; {name} id {bad!r} is not a string")
+        return cls(complex, *maps)
 
 
 def orientation_action(c: DeltaComplex, g: ComplexAutomorphism) -> int:
@@ -502,12 +506,7 @@ def orientation_action(c: DeltaComplex, g: ComplexAutomorphism) -> int:
     sign on a connected closed orientable surface; that sign is returned.
     """
     orientation = orient(c)
-    epsilon = None
-    for tid in c.triangles:
-        image = g.triangle_map[tid]
-        value = orientation[tid] * g.parity(tid) * orientation[image]
-        if epsilon is None:
-            epsilon = value
-        elif epsilon != value:
-            raise InvalidComplex("pushforward of the fundamental cycle is not a multiple of it")
-    return epsilon
+    signs = {orientation[tid] * g.parity(tid) * orientation[g.triangle_map[tid]] for tid in c.triangles}
+    if len(signs) != 1:
+        raise InvalidComplex("pushforward of the fundamental cycle is not a multiple of it")
+    return signs.pop()

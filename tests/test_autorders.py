@@ -132,10 +132,6 @@ class TestAdmissibleCharpolys:
             admissible_transcendental_charpolys(1, CharSetting("char0"), 0)
         with pytest.raises(ValueError):
             admissible_transcendental_charpolys(1, CharSetting("char0"), 22)
-        # the cap is a parameter: widening it admits rank 22
-        assert admissible_transcendental_charpolys(1, CharSetting("char0"), 22, rank_cap=22) == [
-            CycloFactorization({1: 22})
-        ]
 
     def test_every_emitted_factorization_has_exact_degree(self):
         settings = [

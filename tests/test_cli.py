@@ -359,6 +359,26 @@ class TestOrientCommand:
         code, out, err = invoke(capsys, ["orient", payload_file(tmp_path, "float.json", pillow)])
         assert (code, out) == (1, "") and "id 1.0 is not a JSON string or integer" in err
 
+    def test_integer_ids_cannot_take_an_automorphism_object(self, capsys, tmp_path):
+        # JSON object keys are strings, so no map can name the integer vertices
+        tetra = {
+            "vertices": [0, 1, 2, 3],
+            "edges": [{"id": f"{a}{b}", "v": [a, b]} for a, b in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))],
+            "triangles": [
+                {"id": f"{a}{b}{c}", "edges": [f"{a}{b}", f"{b}{c}", f"{a}{c}"], "vertices": [a, b, c]}
+                for a, b, c in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+            ],
+        }
+        identity = {
+            "vertex_map": {str(v): str(v) for v in tetra["vertices"]},
+            "edge_map": {e["id"]: e["id"] for e in tetra["edges"]},
+            "triangle_map": {t["id"]: t["id"] for t in tetra["triangles"]},
+        }
+        path = payload_file(tmp_path, "tetra.json", {**tetra, "automorphism": identity})
+        code, out, err = invoke(capsys, ["orient", path])
+        assert (code, out) == (1, "")
+        assert err == "error: automorphism maps are JSON objects, so they need string ids; vertex id 0 is not a string\n"
+
     def test_repeated_edge_or_triangle_is_bad_input(self, capsys, tmp_path):
         tetra = {
             "vertices": ["A", "B", "C", "D"],
