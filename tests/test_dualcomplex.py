@@ -395,9 +395,8 @@ class TestGeneratedSurfaces:
     def test_orient_matches_oracle(self, raw):
         vertices, edges, triangles = raw
         sides = _raw_sides(edges, triangles)
-        closed = all(len(pairs) == 2 for pairs in sides.values())
         orientable = (
-            closed
+            all(len(pairs) == 2 for pairs in sides.values())
             and oracles.is_connected(vertices, edges.values())
             and oracles.is_connected(triangles, [(t1, t2) for (t1, _), (t2, _) in sides.values()])
             and oracles.raw_homology(*raw)[2] == 1
