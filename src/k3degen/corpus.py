@@ -201,8 +201,8 @@ def run_fixture(path: Path) -> FixtureResult:
         return FixtureResult(name, False, f"{type(exc).__name__}: {exc}")
 
 
-def run_corpus(directory=None) -> list[FixtureResult]:
-    directory = Path(directory) if directory is not None else default_corpus_dir()
+def run_corpus(directory) -> list[FixtureResult]:
+    directory = Path(directory)
     if not directory.is_dir():
         raise ValueError(f"fixture directory not found: {directory}")
     return [run_fixture(p) for p in sorted(directory.glob("*.json"))]

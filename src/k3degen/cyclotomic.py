@@ -7,7 +7,6 @@ Everything here is exact: no floats, no modular shortcuts.
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 
@@ -50,12 +49,6 @@ class IntPolynomial:
     def is_monic(self) -> bool:
         return bool(self.coefficients) and self.coefficients[-1] == 1
 
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
     def __eq__(self, other):
         return isinstance(other, IntPolynomial) and self.coefficients == other.coefficients
 
@@ -74,19 +67,6 @@ class IntPolynomial:
             coeff = f"{abs(c)}" if (abs(c) != 1 or i == 0) else ""
             parts.append(sign + coeff + term)
         return f"IntPolynomial('{''.join(parts)}')"
-
-    def __add__(self, other: IntPolynomial) -> IntPolynomial:
-        return IntPolynomial(
-            a + b for a, b in itertools.zip_longest(self.coefficients, other.coefficients, fillvalue=0)
-        )
-
-    def __sub__(self, other: IntPolynomial) -> IntPolynomial:
-        return IntPolynomial(
-            a - b for a, b in itertools.zip_longest(self.coefficients, other.coefficients, fillvalue=0)
-        )
-
-    def __neg__(self) -> IntPolynomial:
-        return IntPolynomial(-c for c in self.coefficients)
 
     def __mul__(self, other: IntPolynomial) -> IntPolynomial:
         # Schoolbook multiplication; degrees in this library stay tiny.

@@ -374,8 +374,18 @@ def _propagate(c: DeltaComplex) -> dict:
     return orientation
 
 
-_ROTATIONS = tuple(tuple((i + r) % 3 for i in range(3)) for r in range(3))
-_REFLECTIONS = tuple(tuple((c - i) % 3 for i in range(3)) for c in range(3))
+# The six symmetries of a triangle as (corner map, side map, parity): corner
+# i goes to corner map[i] and side i to side map[i]. A rotation by r keeps
+# the cyclic order. A reflection i -> (c - i) % 3 reverses it, so side i,
+# from corner i to i + 1, lands backwards on side (c - i - 1) % 3.
+_TRIANGLE_SYMMETRIES = (
+    ((0, 1, 2), (0, 1, 2), 1),
+    ((1, 2, 0), (1, 2, 0), 1),
+    ((2, 0, 1), (2, 0, 1), 1),
+    ((0, 2, 1), (2, 1, 0), -1),
+    ((1, 0, 2), (0, 2, 1), -1),
+    ((2, 1, 0), (1, 0, 2), -1),
+)
 
 
 class ComplexAutomorphism:
@@ -410,18 +420,11 @@ class ComplexAutomorphism:
             iverts, iedges = c.triangles[image_id]
             gv = tuple(self.vertex_map[v] for v in verts)
             ge = tuple(self.edge_map[e] for e in tri_edges)
-            parities = set()
-            for perm in _ROTATIONS:
-                if all(gv[i] == iverts[perm[i]] for i in range(3)) and all(
-                    ge[i] == iedges[perm[i]] for i in range(3)
-                ):
-                    parities.add(1)
-            for perm in _REFLECTIONS:
-                # a reflected side i lands on the image side perm[i] - 1, reversed
-                if all(gv[i] == iverts[perm[i]] for i in range(3)) and all(
-                    ge[i] == iedges[(perm[i] - 1) % 3] for i in range(3)
-                ):
-                    parities.add(-1)
+            parities = {
+                parity
+                for corners, sides, parity in _TRIANGLE_SYMMETRIES
+                if all(gv[i] == iverts[corners[i]] and ge[i] == iedges[sides[i]] for i in range(3))
+            }
             if not parities:
                 raise InvalidComplex(f"triangle_map breaks incidence of triangle {tid!r}")
             if len(parities) > 1:
@@ -434,67 +437,21 @@ class ComplexAutomorphism:
         """+1 if the triangle's cyclic vertex order is preserved, -1 if reversed."""
         return self._parities[tid]
 
-    def compose(self, other: "ComplexAutomorphism") -> "ComplexAutomorphism":
-        """self after other: (self.compose(other))(x) = self(other(x))."""
-        if other.complex is not self.complex:
-            raise InvalidComplex("cannot compose automorphisms of different complexes")
-        return ComplexAutomorphism(
-            self.complex,
-            {v: self.vertex_map[w] for v, w in other.vertex_map.items()},
-            {e: self.edge_map[f] for e, f in other.edge_map.items()},
-            {t: self.triangle_map[u] for t, u in other.triangle_map.items()},
-        )
-
-    @classmethod
-    def identity(cls, complex: DeltaComplex) -> "ComplexAutomorphism":
-        return cls(
-            complex,
-            {v: v for v in complex.vertices},
-            {e: e for e in complex.edges},
-            {t: t for t in complex.triangles},
-        )
-
-    @classmethod
-    def from_vertex_map(cls, complex: DeltaComplex, vertex_map) -> "ComplexAutomorphism":
-        """Extend a vertex bijection to a full automorphism when the edge and
-        triangle images are forced by endpoints; fails on multi-edges."""
-        vertex_map = dict(vertex_map)
-        by_ends = {}
-        for eid, (a, b) in complex.edges.items():
-            key = frozenset((a, b)) if a != b else (a,)
-            if key in by_ends:
-                raise InvalidComplex("multi-edge: vertex map does not determine edge map")
-            by_ends[key] = eid
-        edge_map = {}
-        for eid, (a, b) in complex.edges.items():
-            ia, ib = vertex_map[a], vertex_map[b]
-            key = frozenset((ia, ib)) if ia != ib else (ia,)
-            if key not in by_ends:
-                raise InvalidComplex(f"vertex map sends edge {eid!r} to a non-edge")
-            edge_map[eid] = by_ends[key]
-        by_verts = {}
-        for tid, (verts, _) in complex.triangles.items():
-            key = frozenset(verts)
-            if key in by_verts:
-                raise InvalidComplex("repeated triangle: vertex map does not determine triangle map")
-            by_verts[key] = tid
-        triangle_map = {}
-        for tid, (verts, _) in complex.triangles.items():
-            key = frozenset(vertex_map[v] for v in verts)
-            if key not in by_verts:
-                raise InvalidComplex(f"vertex map sends triangle {tid!r} to a non-triangle")
-            triangle_map[tid] = by_verts[key]
-        return cls(complex, vertex_map, edge_map, triangle_map)
-
     @classmethod
     def from_json_dict(cls, complex: DeltaComplex, data: dict) -> "ComplexAutomorphism":
+        if type(data) is not dict:
+            raise InvalidComplex(f"malformed automorphism payload: expected a JSON object, got {data!r}")
         try:
             maps = data["vertex_map"], data["edge_map"], data["triangle_map"]
         except KeyError as exc:
             raise InvalidComplex(f"malformed automorphism payload: missing {exc}") from exc
-        for name, mapping, ids in zip(("vertex", "edge", "triangle"), maps, (complex.vertices, complex.edges, complex.triangles)):
+        names = ("vertex", "edge", "triangle")
+        for name, mapping in zip(names, maps):
+            if type(mapping) is not dict:
+                raise InvalidComplex(f"{name}_map must be a JSON object, got {mapping!r}")
+        for name, ids in zip(names, (complex.vertices, complex.edges, complex.triangles)):
             bad = next((x for x in ids if type(x) is not str), None)
-            if type(mapping) is dict and bad is not None:  # a list of [id, image] pairs can name ints
+            if bad is not None:
                 raise InvalidComplex(f"automorphism maps are JSON objects, so they need string ids; {name} id {bad!r} is not a string")
         return cls(complex, *maps)
 

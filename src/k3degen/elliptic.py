@@ -108,6 +108,8 @@ class FiberConfiguration:
                     raise ValueError(f"fiber count must be positive, got {count}")
                 labels.extend([label] * count)
             return cls(labels)
+        if type(data) is not list:
+            raise ValueError(f"fiber multiset must be a JSON array or object, got {data!r}")
         return cls(data)
 
     def to_json_dict(self) -> dict:

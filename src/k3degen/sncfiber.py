@@ -163,17 +163,17 @@ class SNCSurface:
         try:
             components = [
                 Component(c["id"], c["b1"], c.get("b2"), c.get("kind"))
-                for c in data["components"]
+                for c in _json_array(ValueError, "components", data["components"])
             ]
             curves = [
                 DoubleCurve(
                     d["id"], _json_array(ValueError, "double curve components", d["components"]), d["genus"]
                 )
-                for d in data["double_curves"]
+                for d in _json_array(ValueError, "double_curves", data["double_curves"])
             ]
             points = [
                 TriplePoint(t.get("id", f"t{i}"), _json_array(ValueError, "triple point curves", t["curves"]))
-                for i, t in enumerate(data.get("triple_points", []))
+                for i, t in enumerate(_json_array(ValueError, "triple_points", data.get("triple_points", [])))
             ]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed surface payload: {exc}") from exc

@@ -14,7 +14,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from k3degen.dualcomplex import ComplexAutomorphism, DeltaComplex
+from k3degen.dualcomplex import ComplexAutomorphism, DeltaComplex, InvalidComplex
 
 
 # -- number theory ----------------------------------------------------------
@@ -266,9 +266,51 @@ def six_vertex_rp2() -> DeltaComplex:
     ])
 
 
+def vertex_automorphism(complex_: DeltaComplex, vertex_map) -> ComplexAutomorphism:
+    """The automorphism a vertex bijection induces when the edge and triangle
+    images are forced by endpoints, built through the validating constructor;
+    InvalidComplex on multi-edges, repeated triangles or a map that breaks
+    incidence."""
+    by_ends = {}
+    for eid, (a, b) in complex_.edges.items():
+        key = frozenset((a, b)) if a != b else (a,)
+        if key in by_ends:
+            raise InvalidComplex("multi-edge: vertex map does not determine edge map")
+        by_ends[key] = eid
+    edge_map = {}
+    for eid, (a, b) in complex_.edges.items():
+        ia, ib = vertex_map[a], vertex_map[b]
+        key = frozenset((ia, ib)) if ia != ib else (ia,)
+        if key not in by_ends:
+            raise InvalidComplex(f"vertex map sends edge {eid!r} to a non-edge")
+        edge_map[eid] = by_ends[key]
+    by_verts = {}
+    for tid, (verts, _) in complex_.triangles.items():
+        key = frozenset(verts)
+        if key in by_verts:
+            raise InvalidComplex("repeated triangle: vertex map does not determine triangle map")
+        by_verts[key] = tid
+    triangle_map = {}
+    for tid, (verts, _) in complex_.triangles.items():
+        key = frozenset(vertex_map[v] for v in verts)
+        if key not in by_verts:
+            raise InvalidComplex(f"vertex map sends triangle {tid!r} to a non-triangle")
+        triangle_map[tid] = by_verts[key]
+    return ComplexAutomorphism(complex_, vertex_map, edge_map, triangle_map)
+
+
+def compose(g: ComplexAutomorphism, h: ComplexAutomorphism) -> ComplexAutomorphism:
+    """g after h on each kind of cell, built through the validating constructor."""
+    return ComplexAutomorphism(
+        g.complex,
+        {v: g.vertex_map[w] for v, w in h.vertex_map.items()},
+        {e: g.edge_map[f] for e, f in h.edge_map.items()},
+        {t: g.triangle_map[u] for t, u in h.triangle_map.items()},
+    )
+
+
 def vertex_symmetries(complex_: DeltaComplex):
     """All automorphisms induced by vertex permutations (no multi-edges)."""
-    n = len(complex_.vertices)
     edge_sets = {frozenset(pair) for pair in complex_.edges.values()}
     tri_sets = {frozenset(verts) for verts, _ in complex_.triangles.values()}
     out = []
@@ -281,7 +323,7 @@ def vertex_symmetries(complex_: DeltaComplex):
             for verts, _ in complex_.triangles.values()
         ):
             continue
-        out.append(ComplexAutomorphism.from_vertex_map(complex_, vmap))
+        out.append(vertex_automorphism(complex_, vmap))
     return out
 
 

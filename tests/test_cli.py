@@ -17,6 +17,9 @@ from k3degen.sncfiber import KINDS, SNCSurface
 from test_dualcomplex import generated_complexes
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
 def _no_constant(name):
     raise ValueError(f"{name} is not RFC 8259 JSON")
 
@@ -379,6 +382,17 @@ class TestOrientCommand:
         assert (code, out) == (1, "")
         assert err == "error: automorphism maps are JSON objects, so they need string ids; vertex id 0 is not a string\n"
 
+    def test_automorphism_maps_are_objects_only(self, capsys, tmp_path):
+        # a list of two-character strings reads as [id, image] pairs under dict()
+        payload = json.loads((GOLDEN / "tetrahedron_orient.json").read_text())
+        for key, value in (("vertex_map", ["AB", "BA", "CC", "DD"]), ("edge_map", "AB"), ("triangle_map", None)):
+            changed = {**payload, "automorphism": {**payload["automorphism"], key: value}}
+            code, out, err = invoke(capsys, ["orient", payload_file(tmp_path, "maps.json", changed)])
+            assert (code, out, err) == (1, "", f"error: {key} must be a JSON object, got {value!r}\n")
+        path = payload_file(tmp_path, "pairs.json", {**payload, "automorphism": [["A", "B"]]})
+        code, out, err = invoke(capsys, ["orient", path])
+        assert (code, out) == (1, "") and err.startswith("error: malformed automorphism payload: ")
+
     def test_repeated_edge_or_triangle_is_bad_input(self, capsys, tmp_path):
         tetra = {
             "vertices": ["A", "B", "C", "D"],
@@ -417,6 +431,9 @@ SPELLED = {
 
 class TestIdArrays:
     @pytest.mark.parametrize("command, where, value, field", [
+        ("classify-fiber", ("components",), {}, "components"),
+        ("classify-fiber", ("double_curves",), "", "double_curves"),
+        ("classify-fiber", ("triple_points",), {}, "triple_points"),
         ("classify-fiber", ("double_curves", 0, "components"), "ab", "double curve components"),
         ("classify-fiber", ("triple_points", 0, "curves"), "psq", "triple point curves"),
         ("orient", ("vertices",), "abcd", "vertices"),
@@ -469,6 +486,13 @@ class TestEulerCommand:
         for char in ("-5", "0", "4"):
             code, out, err = invoke(capsys, ["euler", path, "--characteristic", char])
             assert code == 1 and out == "" and "prime" in err
+
+    def test_multiset_is_an_array_or_object(self, capsys, tmp_path):
+        for payload in ("", {"fibers": ""}, 24):
+            fibers = payload["fibers"] if isinstance(payload, dict) else payload
+            code, out, err = invoke(capsys, ["euler", payload_file(tmp_path, "fibers.json", payload)])
+            assert (code, out) == (1, "")
+            assert err == f"error: fiber multiset must be a JSON array or object, got {fibers!r}\n"
 
     def test_non_string_label_is_bad_input(self, capsys, tmp_path):
         path = payload_file(tmp_path, "fibers.json", ["II", 3])

@@ -482,19 +482,22 @@ class TestOrient:
 class TestAutomorphisms:
     def test_identity_action(self):
         c = oracles.tetrahedron()
-        assert orientation_action(c, ComplexAutomorphism.identity(c)) == 1
+        identity = ComplexAutomorphism(
+            c, {v: v for v in c.vertices}, {e: e for e in c.edges}, {t: t for t in c.triangles}
+        )
+        assert orientation_action(c, identity) == 1
 
     def test_transposition_and_three_cycle(self):
         c = oracles.tetrahedron()
-        swap = ComplexAutomorphism.from_vertex_map(c, {0: 1, 1: 0, 2: 2, 3: 3})
+        swap = oracles.vertex_automorphism(c, {0: 1, 1: 0, 2: 2, 3: 3})
         assert orientation_action(c, swap) == -1
-        cycle = ComplexAutomorphism.from_vertex_map(c, {0: 1, 1: 2, 2: 0, 3: 3})
+        cycle = oracles.vertex_automorphism(c, {0: 1, 1: 2, 2: 0, 3: 3})
         assert orientation_action(c, cycle) == 1
 
     def test_full_symmetric_group_matches_sign(self):
         c = oracles.tetrahedron()
         for perm in itertools.permutations(range(4)):
-            g = ComplexAutomorphism.from_vertex_map(c, dict(zip(range(4), perm)))
+            g = oracles.vertex_automorphism(c, dict(zip(range(4), perm)))
             assert orientation_action(c, g) == oracles.perm_sign(perm)
 
     def test_homomorphism_property(self):
@@ -504,7 +507,7 @@ class TestAutomorphisms:
         rng = random.Random(13)
         for _ in range(60):
             g, h = rng.choice(autos), rng.choice(autos)
-            assert orientation_action(c, g.compose(h)) == orientation_action(
+            assert orientation_action(c, oracles.compose(g, h)) == orientation_action(
                 c, g
             ) * orientation_action(c, h)
 
@@ -524,8 +527,13 @@ class TestAutomorphisms:
         with pytest.raises(InvalidComplex):
             ComplexAutomorphism(c, vmap, {e: e for e in c.edges}, {t: t for t in c.triangles})
 
-    def test_from_vertex_map_rejects_multi_edge(self):
+    def test_explicit_maps_tell_parallel_cells_apart(self):
+        # no vertex map says which of two parallel edges or equal faces goes
+        # where; the edge and triangle maps do
         c = pillow()
+        fixed, same_edges = {v: v for v in c.vertices}, {e: e for e in c.edges}
+        flip = ComplexAutomorphism(c, fixed, same_edges, {"T1": "T2", "T2": "T1"})
+        assert orientation_action(c, flip) == -1
         double = DeltaComplex(
             ["A", "B", "C"],
             {"ab": ("A", "B"), "ab2": ("A", "B"), "bc": ("B", "C"), "ca": ("C", "A")},
@@ -534,8 +542,7 @@ class TestAutomorphisms:
                 "T2": (("A", "B", "C"), ("ab2", "bc", "ca")),
             },
         )
-        with pytest.raises(InvalidComplex):
-            ComplexAutomorphism.from_vertex_map(double, {"A": "A", "B": "B", "C": "C"})
-        # the pillow's repeated face makes the triangle image ambiguous too
-        with pytest.raises(InvalidComplex):
-            ComplexAutomorphism.from_vertex_map(c, {"A": "A", "B": "B", "C": "C"})
+        swap_edges = {"ab": "ab2", "ab2": "ab", "bc": "bc", "ca": "ca"}
+        assert ComplexAutomorphism(double, fixed, swap_edges, {"T1": "T2", "T2": "T1"}).parity("T1") == 1
+        with pytest.raises(InvalidComplex, match="triangle_map breaks incidence of triangle 'T1'"):
+            ComplexAutomorphism(double, fixed, swap_edges, {"T1": "T1", "T2": "T2"})
