@@ -485,3 +485,28 @@ def random_glued_complex(rng):
             signs.append(rng.choice((1, -1)) if a == b else 1 if edges[e] == (a, b) else -1)
         triangles[f"t{t}"] = (verts, tuple(tri_edges), tuple(signs))
     return vertices, edges, triangles
+
+
+# -- fibers from raw strata ----------------------------------------------------
+
+
+def fiber_triangle(point_id, curve_ids, curves):
+    """The dual triangle of a triple point, where curves maps each double
+    curve id to its (first, second) component: (vertices, signs), side i
+    running along curve i from vertices[i] to vertices[i + 1], with sign +1
+    when that is the curve's stored direction. Raises SNCSurface's ValueError
+    when the curves do not bound a triangle."""
+    if not all(x in curves for x in curve_ids):
+        raise ValueError(f"triple point {point_id!r} references an unknown double curve")
+    pairs = list(zip(curve_ids, curve_ids[1:] + curve_ids[:1]))
+    for x, y in pairs:
+        met = [c for c in curves[x] if c in curves[y]]
+        if len(met) != 1:
+            raise ValueError(
+                f"triple point {point_id!r}: curves {x!r} and {y!r} share {len(met)} components, expected exactly 1"
+            )
+    # neighbouring curves meet once, so three curves on three components close up a triangle
+    if len({c for x in curve_ids for c in curves[x]}) != 3:
+        raise ValueError(f"triple point {point_id!r}: incident components are not distinct")
+    vertices = tuple(next(c for c in curves[x] if c not in curves[y]) for x, y in pairs)
+    return vertices, tuple(1 if curves[x][0] == v else -1 for x, v in zip(curve_ids, vertices))

@@ -3,6 +3,7 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from k3degen.sncfiber import (
     Component,
@@ -17,6 +18,8 @@ from k3degen.sncfiber import (
     e1_page,
     grw_dims,
 )
+
+import oracles
 
 
 def smooth_fiber():
@@ -119,6 +122,56 @@ class TestValidation:
     def test_component_kind_checked(self):
         with pytest.raises(ValueError, match="unknown kind 'abelian'"):
             Component("A", 0, kind="abelian")
+
+
+@st.composite
+def triple_point_strata(draw):
+    """Components c0.. (3 to 5 of them), double curves over them as id ->
+    (first, second) with parallel curves allowed, and the three distinct curve
+    ids of one triple point, which may name an unknown curve."""
+    comps = [f"c{k}" for k in range(draw(st.integers(3, 5)))]
+    ends = st.lists(st.sampled_from(comps), min_size=2, max_size=2, unique=True).map(tuple)
+    curves = {f"d{k}": pair for k, pair in enumerate(draw(st.lists(ends, min_size=3, max_size=6)))}
+    names = [*curves, "dx"] if draw(st.integers(0, 3)) == 0 else list(curves)
+    point = draw(st.lists(st.sampled_from(names), min_size=3, max_size=3, unique=True))
+    return comps, curves, tuple(point)
+
+
+_ABCD = ["c0", "c1", "c2", "c3"]
+_APART = {"d0": ("c0", "c1"), "d1": ("c2", "c3"), "d2": ("c1", "c2")}  # d0 and d1 miss each other
+_PARALLEL = {"d0": ("c0", "c1"), "d1": ("c1", "c0"), "d2": ("c1", "c2")}  # d0 and d1 meet twice
+_FAN = {"d0": ("c0", "c1"), "d1": ("c0", "c2"), "d2": ("c0", "c3")}
+
+
+class TestTriangleDerivation:
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(triple_point_strata())
+    @example((_ABCD, {"d0": ("c0", "c1"), "d1": ("c2", "c1"), "d2": ("c0", "c2")}, ("d0", "d1", "d2")))
+    @example((_ABCD, _APART, ("d0", "d1", "dx")))  # unknown curve
+    @example((_ABCD, _APART, ("d0", "d1", "d2")))  # share 0 at each of the three pairs
+    @example((_ABCD, _APART, ("d2", "d0", "d1")))
+    @example((_ABCD, _APART, ("d1", "d2", "d0")))
+    @example((_ABCD, _PARALLEL, ("d0", "d1", "d2")))  # share 2 at each of the three pairs
+    @example((_ABCD, _PARALLEL, ("d2", "d0", "d1")))
+    @example((_ABCD, _PARALLEL, ("d1", "d2", "d0")))
+    @example((_ABCD, _FAN, ("d0", "d1", "d2")))  # pairs meet once, all at c0
+    def test_matches_raw_oracle(self, strata):
+        comps, curves, point = strata
+        payload = {
+            "components": [{"id": c, "b1": 0} for c in comps],
+            "double_curves": [{"id": d, "components": list(ends), "genus": 0} for d, ends in curves.items()],
+            "triple_points": [{"id": "t", "curves": list(point)}],
+        }
+        try:
+            expected = oracles.fiber_triangle("t", point, curves)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as caught:
+                SNCSurface.from_json_dict(payload)
+            assert str(caught.value) == str(exc)
+            return
+        c = SNCSurface.from_json_dict(payload).dual_complex()
+        assert c.triangles["t"] == (expected[0], point)
+        assert c.triangle_signs["t"] == expected[1]
 
 
 class TestClassify:
