@@ -16,7 +16,7 @@ undetermined there, and the triangle must then supply explicit signs.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from fractions import Fraction
 
 from . import _linalg
@@ -49,20 +49,24 @@ def _json_array(error, field, value):
     return tuple(value)
 
 
-def _classes(nodes, joins):
-    """Union-find: the class representative of each node, where joins is a
-    flat list [a0, b0, a1, b1, ...] of nodes joined in pairs."""
-    parent = {x: x for x in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for k in range(0, len(joins), 2):
-        parent[find(joins[k])] = find(joins[k + 1])
-    return [find(x) for x in nodes]
+def _classes(n, joins):
+    """Union-find: the class representative of each node 0..n-1, where joins
+    is a flat list [a0, b0, a1, b1, ...] of nodes joined in pairs. A root
+    joins the smaller root, so parent[x] <= x and one pass in order resolves
+    each node to its root."""
+    parent = list(range(n))
+    for a, b in zip(joins[::2], joins[1::2]):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        else:
+            parent[a] = b
+    for x in range(n):
+        parent[x] = parent[parent[x]]
+    return parent
 
 
 def _infer_sign(edge, tail, head, explicit):
@@ -96,23 +100,28 @@ class DeltaComplex:
     vertices: iterable of ids.
     edges: map edge id -> (v0, v1).
     triangles: map triangle id -> (vertices, edges) or (vertices, edges, signs).
+
+    Cells are stored by index. vertices, _eids and _tids list the ids; edge k
+    runs from vertex _ends[2k] to _ends[2k + 1]; side i of triangle t, side
+    number 3t + i, lies on edge _tedges[3t + i] with sign _signs[3t + i]; and
+    _sides[k] lists the side numbers on edge k.
     """
 
     def __init__(self, vertices, edges, triangles):
         vertices = tuple(vertices)
-        vertex_set = set(vertices)
-        if len(vertex_set) != len(vertices):
+        vertex_index = {v: k for k, v in enumerate(vertices)}
+        if len(vertex_index) != len(vertices):
             raise InvalidComplex("repeated vertex id")
 
         checked_edges = {}
         for eid, pair in dict(edges).items():
             a, b = pair
-            if a not in vertex_set or b not in vertex_set:
+            if a not in vertex_index or b not in vertex_index:
                 raise InvalidComplex(f"edge {eid!r} references an unknown vertex")
-            checked_edges[eid] = tuple(pair)
+            checked_edges[eid] = (a, b)
+        edge_index = {eid: k for k, eid in enumerate(checked_edges)}
 
-        checked_triangles = {}
-        triangle_signs = {}
+        tids, tedges, side_signs = [], [], []
         for tid, data in dict(triangles).items():
             if len(data) == 2:
                 (verts, tri_edges), signs = data, (None, None, None)
@@ -121,35 +130,60 @@ class DeltaComplex:
             verts, tri_edges, signs = tuple(verts), tuple(tri_edges), tuple(signs)
             if len(verts) != 3 or len(tri_edges) != 3 or len(signs) != 3:
                 raise InvalidComplex(f"triangle {tid!r} needs 3 vertices, edges, and signs")
-            if any(v not in vertex_set for v in verts):
+            if any(v not in vertex_index for v in verts):
                 raise InvalidComplex(f"triangle {tid!r} references an unknown vertex")
             if any(e not in checked_edges for e in tri_edges):
                 raise InvalidComplex(f"triangle {tid!r} references an unknown edge")
-            triangle_signs[tid] = tuple(
+            side_signs += (
                 _infer_sign(checked_edges[tri_edges[i]], verts[i], verts[(i + 1) % 3], signs[i])
                 for i in range(3)
             )
-            checked_triangles[tid] = (verts, tri_edges)
-        self._build(vertices, checked_edges, checked_triangles, triangle_signs)
+            tids.append(tid)
+            tedges += (edge_index[e] for e in tri_edges)
+        ends = [vertex_index[v] for pair in checked_edges.values() for v in pair]
+        self._build(vertices, list(checked_edges), ends, tids, tedges, side_signs)
 
-    def _build(self, vertices, edges, triangles, triangle_signs):
-        """Assign cells that the caller has checked, and index each edge's sides; returns self."""
-        self.vertices, self.edges, self.triangles, self.triangle_signs = vertices, edges, triangles, triangle_signs
-        self._sides = {eid: [] for eid in edges}  # edge -> glued sides as a flat list [tid, i, ...]
-        for tid, (_, tri_edges) in triangles.items():
-            for i in range(3):
-                self._sides[tri_edges[i]] += (tid, i)
+    def _build(self, vertices, eids, ends, tids, tedges, signs):
+        """Store cells that the caller has checked, and list each edge's sides; returns self."""
+        self.vertices, self._eids, self._ends = vertices, eids, ends
+        self._tids, self._tedges, self._signs = tids, tedges, signs
+        sides = self._sides = [[] for _ in eids]
+        for k, e in enumerate(tedges):
+            sides[e].append(k)
         return self
+
+    # -- id-keyed views, built on each call --------------------------------
+
+    @property
+    def edges(self) -> dict:
+        """edge id -> (tail, head)."""
+        v, ends = self.vertices, self._ends
+        return {eid: (v[ends[2 * k]], v[ends[2 * k + 1]]) for k, eid in enumerate(self._eids)}
+
+    @property
+    def triangles(self) -> dict:
+        """triangle id -> (vertices, edge ids); side i leaves vertex i from the
+        end of its edge that its sign makes the tail."""
+        v, ends, eids = self.vertices, self._ends, self._eids
+        corners = [v[ends[2 * e + (s == -1)]] for e, s in zip(self._tedges, self._signs)]
+        edge_ids = [eids[e] for e in self._tedges]
+        return {tid: (tuple(corners[3 * t:3 * t + 3]), tuple(edge_ids[3 * t:3 * t + 3]))
+                for t, tid in enumerate(self._tids)}
+
+    @property
+    def triangle_signs(self) -> dict:
+        """triangle id -> the signs of its three sides."""
+        return {tid: tuple(self._signs[3 * t:3 * t + 3]) for t, tid in enumerate(self._tids)}
 
     # -- incidence helpers -------------------------------------------------
 
     def sides_of_edge(self, eid):
         """All (triangle id, side index) pairs glued to an edge."""
-        flat = self._sides.get(eid, ())
-        return list(zip(flat[::2], flat[1::2]))
+        sides = self._sides[self._eids.index(eid)] if eid in self._eids else ()
+        return [(self._tids[k // 3], k % 3) for k in sides]
 
     def counts(self) -> tuple[int, int, int]:
-        return len(self.vertices), len(self.edges), len(self.triangles)
+        return len(self.vertices), len(self._eids), len(self._tids)
 
     def euler_characteristic(self) -> int:
         v, e, f = self.counts()
@@ -158,45 +192,37 @@ class DeltaComplex:
     def component_count(self) -> int:
         """Connected components, by union-find over the edges: each triangle's
         corners are joined by its own sides, so triangles add nothing."""
-        ends = [v for pair in self.edges.values() for v in pair]
-        return len(set(_classes(self.vertices, ends)))
+        return len(set(_classes(len(self.vertices), self._ends)))
 
     def _link_circles(self) -> Counter:
-        """Circles in each vertex link when every edge lies on two sides: the
-        classes of edge-ends that the triangle corners join. The k-th edge
-        has ends 2k (tail) and 2k + 1 (head); the corner at verts[i] joins
-        the end where side i - 1 arrives to the end where side i leaves."""
-        tail = {eid: 2 * k for k, eid in enumerate(self.edges)}
+        """Circles in each vertex link, by vertex index, when every edge lies on
+        two sides: the classes of edge-ends that the triangle corners join.
+        Edge k has ends 2k and 2k + 1, at vertices _ends[2k] and _ends[2k + 1].
+        A side on edge e arrives at end 2e + (sign == 1) and leaves from the
+        other; the corner where side i starts joins side i - 1's arrival to
+        side i's departure."""
+        arrive = [2 * e + (s == 1) for e, s in zip(self._tedges, self._signs)]
         joins = []
-        for tid, (_, tri_edges) in self.triangles.items():
-            signs = self.triangle_signs[tid]
-            for i in range(3):  # i - 1 = -1 wraps round to side 2
-                joins += (tail[tri_edges[i - 1]] + (signs[i - 1] == 1),
-                          tail[tri_edges[i]] + (signs[i] == -1))
-        ends = [v for pair in self.edges.values() for v in pair]
+        for k in range(0, len(arrive), 3):
+            a0, a1, a2 = arrive[k:k + 3]
+            joins += (a2, a0 ^ 1, a0, a1 ^ 1, a1, a2 ^ 1)
         # corners join only ends at one vertex, so each class has one owner
-        return Counter(dict(zip(_classes(range(len(ends)), joins), ends)).values())
+        return Counter(self._ends[r] for r in set(_classes(len(self._ends), joins)))
 
     # -- homology ----------------------------------------------------------
 
     def boundary_matrices(self):
-        """Integer matrices of the chain complex C2 -> C1 -> C0."""
-        v_index = {v: i for i, v in enumerate(self.vertices)}
-        e_ids = sorted(self.edges, key=str)
-        e_index = {e: i for i, e in enumerate(e_ids)}
-        t_ids = sorted(self.triangles, key=str)
-
-        d1 = [[0] * len(e_ids) for _ in range(len(self.vertices))]
-        for eid, (a, b) in self.edges.items():
-            j = e_index[eid]
-            d1[v_index[b]][j] += 1
-            d1[v_index[a]][j] -= 1
-
-        d2 = [[0] * len(t_ids) for _ in range(len(e_ids))]
-        for col, tid in enumerate(t_ids):
-            _, tri_edges = self.triangles[tid]
-            for i, eid in enumerate(tri_edges):
-                d2[e_index[eid]][col] += self.triangle_signs[tid][i]
+        """Integer matrices of the chain complex C2 -> C1 -> C0, cells in the str order of their ids."""
+        e_order = sorted(range(len(self._eids)), key=lambda k: str(self._eids[k]))
+        row = {k: j for j, k in enumerate(e_order)}
+        d1 = [[0] * len(e_order) for _ in self.vertices]
+        for j, k in enumerate(e_order):
+            d1[self._ends[2 * k + 1]][j] += 1
+            d1[self._ends[2 * k]][j] -= 1
+        d2 = [[0] * len(self._tids) for _ in e_order]
+        for col, t in enumerate(sorted(range(len(self._tids)), key=lambda t: str(self._tids[t]))):
+            for k in range(3 * t, 3 * t + 3):
+                d2[row[self._tedges[k]]][col] += self._signs[k]
         return d1, d2
 
     def homology_dims(self) -> tuple[int, int, int]:
@@ -209,13 +235,13 @@ class DeltaComplex:
         kills it (joins it to `zero`, where z = 0), a row with two joins
         them, and rows with more are ranked at the end over the live roots.
         """
-        zero = object()
-        parent = {t: t for t in (*self.triangles, zero)}  # values are key objects: compare by `is`
-        q = dict.fromkeys(self.triangles, 1)
+        signs, zero = self._signs, len(self._tids)
+        parent = list(range(zero + 1))
+        q = [1] * zero
 
         def find(t):  # (root, w) with z[t] = w * z[root], compressing the path
             path = []
-            while parent[t] is not t:
+            while parent[t] != t:
                 path.append(t)
                 t = parent[t]
             w = 1
@@ -224,17 +250,17 @@ class DeltaComplex:
                 parent[u], q[u] = t, w
             return t, w
 
-        def live_terms(flat):  # an edge's row of d2 -> {live root: coefficient}
+        def live_terms(sides):  # an edge's row of d2 -> {live root: coefficient}
             terms = {}
-            for t, i in zip(flat[::2], flat[1::2]):
-                r, w = find(t)
-                if r is not zero:
-                    terms[r] = terms.get(r, 0) + self.triangle_signs[t][i] * w
+            for k in sides:
+                r, w = find(k // 3)
+                if r != zero:
+                    terms[r] = terms.get(r, 0) + signs[k] * w
             return {r: c for r, c in terms.items() if c}
 
         residual = []
-        for flat in self._sides.values():
-            terms = live_terms(flat)
+        for sides in self._sides:
+            terms = live_terms(sides)
             if len(terms) == 1:
                 parent[next(iter(terms))] = zero
             elif len(terms) == 2:  # a z[r1] + b z[r2] = 0
@@ -242,9 +268,9 @@ class DeltaComplex:
                 # an int where it divides (always, on a surface): ints multiply faster
                 parent[r2], q[r2] = r1, (-a // b if a % b == 0 else Fraction(-a, b))
             elif terms:
-                residual.append(flat)
+                residual.append(sides)
 
-        live = [t for t in self.triangles if parent[t] is t]
+        live = [t for t in range(zero) if parent[t] == t]
         matrix = []
         for terms in map(live_terms, residual):
             scale = math.lcm(*(c.denominator for c in terms.values()))  # Bareiss takes ints only
@@ -256,17 +282,18 @@ class DeltaComplex:
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        triangles, signs = self.triangles, self.triangle_signs
         return {
             "vertices": list(self.vertices),
             "edges": [{"id": eid, "v": list(pair)} for eid, pair in sorted(self.edges.items(), key=lambda kv: str(kv[0]))],
             "triangles": [
                 {
                     "id": tid,
-                    "edges": list(self.triangles[tid][1]),
-                    "vertices": list(self.triangles[tid][0]),
-                    "signs": list(self.triangle_signs[tid]),
+                    "edges": list(triangles[tid][1]),
+                    "vertices": list(triangles[tid][0]),
+                    "signs": list(signs[tid]),
                 }
-                for tid in sorted(self.triangles, key=str)
+                for tid in sorted(triangles, key=str)
             ],
         }
 
@@ -306,19 +333,19 @@ def sphere_failure(c: DeltaComplex):
     exactly two triangle sides, every vertex link a single circle,
     orientable, Euler characteristic 2. The first failure is reported.
     """
-    if not c.vertices or not c.triangles:
+    if not c.vertices or not c._tids:
         return "empty complex or no triangles"
     if c.component_count() != 1:
         return "not connected"
-    for eid, flat in c._sides.items():
-        if len(flat) != 4:
-            return f"edge {eid!r} lies on {len(flat) // 2} triangle sides, expected 2"
+    for e, sides in enumerate(c._sides):
+        if len(sides) != 2:
+            return f"edge {c._eids[e]!r} lies on {len(sides)} triangle sides, expected 2"
     # relies on the edge check above: with every edge on two sides, every
     # edge-end meets two corners, so each link is a disjoint union of circles
     circles = c._link_circles()
-    for v in c.vertices:
+    for v, vid in enumerate(c.vertices):
         if circles[v] != 1:
-            return f"link of vertex {v!r} is not a single circle"
+            return f"link of vertex {vid!r} is not a single circle"
     try:
         _propagate(c)  # orient's own checks, connectivity and pairing, are proven above
     except NonOrientable:
@@ -335,7 +362,7 @@ def orient(c: DeltaComplex) -> dict:
     Requires a closed connected pseudo-surface: every edge on exactly two
     triangle sides. Raises NonOrientable on contradiction.
     """
-    if not c.triangles:
+    if not c._tids:
         raise InvalidComplex("nothing to orient: no triangles")
     if c.component_count() != 1:
         raise InvalidComplex("orientation requires a connected complex")
@@ -345,33 +372,35 @@ def orient(c: DeltaComplex) -> dict:
 def _propagate(c: DeltaComplex) -> dict:
     """orient on a connected complex with triangles: pair each edge's two
     sides, then propagate signs breadth-first from the first triangle."""
-    neighbors = {tid: [] for tid in c.triangles}  # flat: [neighbor, relative sign, ...]
-    for eid, flat in c._sides.items():
-        if len(flat) != 4:
-            raise InvalidComplex(f"edge {eid!r} lies on {len(flat) // 2} triangle sides, expected 2")
-        t1, i1, t2, i2 = flat
-        # or[t1]*s1 + or[t2]*s2 = 0  <=>  or[t2] = -or[t1]*s1*s2
-        rel = -c.triangle_signs[t1][i1] * c.triangle_signs[t2][i2]
-        neighbors[t1] += (t2, rel)
-        neighbors[t2] += (t1, rel)
+    signs = c._signs
+    neighbors = [[] for _ in c._tids]  # u, or ~u where u takes the opposite sign
+    for e, sides in enumerate(c._sides):
+        if len(sides) != 2:
+            raise InvalidComplex(f"edge {c._eids[e]!r} lies on {len(sides)} triangle sides, expected 2")
+        k1, k2 = sides
+        t1, t2 = k1 // 3, k2 // 3
+        if signs[k1] == signs[k2]:  # or[t1]*s1 + or[t2]*s2 = 0  <=>  or[t2] = -or[t1]*s1*s2
+            t1, t2 = ~t1, ~t2
+        neighbors[k1 // 3].append(t2)
+        neighbors[k2 // 3].append(t1)
 
-    seed = next(iter(c.triangles))
-    orientation, queue = {seed: 1}, deque([seed])
-    while queue:
-        t = queue.popleft()
-        flat = neighbors[t]
-        for u, rel in zip(flat[::2], flat[1::2]):
-            expected = orientation[t] * rel
-            if u in orientation:
+    orientation = [1] + [0] * (len(neighbors) - 1)  # 0: not reached yet
+    queue = [0]
+    for t in queue:  # breadth-first: the loop goes on over the triangles appended
+        for u in neighbors[t]:
+            expected = orientation[t]
+            if u < 0:
+                u, expected = ~u, -expected
+            if orientation[u]:
                 if orientation[u] != expected:
-                    raise NonOrientable(f"orientation contradiction at triangle {u!r}")
+                    raise NonOrientable(f"orientation contradiction at triangle {c._tids[u]!r}")
             else:
                 orientation[u] = expected
                 queue.append(u)
-    if len(orientation) != len(c.triangles):
+    if len(queue) != len(neighbors):
         raise InvalidComplex("triangles not connected through shared edges")
     # every pairing was set or checked above, so the signed 2-chain is a cycle
-    return orientation
+    return {c._tids[t]: orientation[t] for t in queue}
 
 
 # The six symmetries of a triangle as (corner map, side map, parity): corner
@@ -402,22 +431,23 @@ class ComplexAutomorphism:
 
     def _validate(self):
         c = self.complex
+        edges, triangles = c.edges, c.triangles
         for name, mapping, domain in (
             ("vertex", self.vertex_map, set(c.vertices)),
-            ("edge", self.edge_map, set(c.edges)),
-            ("triangle", self.triangle_map, set(c.triangles)),
+            ("edge", self.edge_map, set(edges)),
+            ("triangle", self.triangle_map, set(triangles)),
         ):
             if set(mapping) != domain or set(mapping.values()) != domain:
                 raise InvalidComplex(f"{name}_map is not a bijection of the {name} ids")
 
-        for eid, (a, b) in c.edges.items():
-            image = c.edges[self.edge_map[eid]]
+        for eid, (a, b) in edges.items():
+            image = edges[self.edge_map[eid]]
             if set(image) != {self.vertex_map[a], self.vertex_map[b]}:
                 raise InvalidComplex(f"edge_map breaks endpoints of edge {eid!r}")
 
-        for tid, (verts, tri_edges) in c.triangles.items():
+        for tid, (verts, tri_edges) in triangles.items():
             image_id = self.triangle_map[tid]
-            iverts, iedges = c.triangles[image_id]
+            iverts, iedges = triangles[image_id]
             gv = tuple(self.vertex_map[v] for v in verts)
             ge = tuple(self.edge_map[e] for e in tri_edges)
             parities = {
@@ -449,7 +479,7 @@ class ComplexAutomorphism:
         for name, mapping in zip(names, maps):
             if type(mapping) is not dict:
                 raise InvalidComplex(f"{name}_map must be a JSON object, got {mapping!r}")
-        for name, ids in zip(names, (complex.vertices, complex.edges, complex.triangles)):
+        for name, ids in zip(names, (complex.vertices, complex._eids, complex._tids)):
             bad = next((x for x in ids if type(x) is not str), None)
             if bad is not None:
                 raise InvalidComplex(f"automorphism maps are JSON objects, so they need string ids; {name} id {bad!r} is not a string")
@@ -463,7 +493,7 @@ def orientation_action(c: DeltaComplex, g: ComplexAutomorphism) -> int:
     sign on a connected closed orientable surface; that sign is returned.
     """
     orientation = orient(c)
-    signs = {orientation[tid] * g.parity(tid) * orientation[g.triangle_map[tid]] for tid in c.triangles}
+    signs = {orientation[tid] * g.parity(tid) * orientation[g.triangle_map[tid]] for tid in c._tids}
     if len(signs) != 1:
         raise InvalidComplex("pushforward of the fundamental cycle is not a multiple of it")
     return signs.pop()

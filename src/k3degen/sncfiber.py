@@ -92,47 +92,49 @@ class SNCSurface:
         self.triple_points = tuple(triple_points)
 
         comp_ids = tuple(c.id for c in self.components)
-        comp_set = set(comp_ids)
-        if len(comp_set) != len(comp_ids):
+        comp_index = {cid: k for k, cid in enumerate(comp_ids)}
+        if len(comp_index) != len(comp_ids):
             raise ValueError("repeated component id")
-        curves_by_id = {d.id: d for d in self.double_curves}
-        if len(curves_by_id) != len(self.double_curves):
+        curve_index = {d.id: k for k, d in enumerate(self.double_curves)}
+        if len(curve_index) != len(self.double_curves):
             raise ValueError("repeated double curve id")
         if len({t.id for t in self.triple_points}) != len(self.triple_points):
             raise ValueError("repeated triple point id")
 
-        for d in self.double_curves:
-            if not comp_set.issuperset(d.components):
-                raise ValueError(f"double curve {d.id!r} references an unknown component")
+        ends = [comp_index.get(x, -1) for d in self.double_curves for x in d.components]  # curve k: 2k, 2k + 1
+        if -1 in ends:
+            raise ValueError(f"double curve {self.double_curves[ends.index(-1) // 2].id!r} references an unknown component")
 
-        triangles = {}
-        signs = {}
+        pairs = list(zip(ends[::2], ends[1::2]))
+        tedges, signs = [], []
         for t in self.triple_points:
-            if any(did not in curves_by_id for did in t.curves):
-                raise ValueError(f"triple point {t.id!r} references an unknown double curve")
-            d = [curves_by_id[did] for did in t.curves]
-            ends = [set(x.components) for x in d]
-            shared = []
-            for i in range(3):
-                common = ends[i] & ends[(i + 1) % 3]
-                if len(common) != 1:
-                    raise ValueError(
-                        f"triple point {t.id!r}: curves {d[i].id!r} and {d[(i + 1) % 3].id!r} "
-                        f"share {len(common)} components, expected exactly 1"
-                    )
-                shared.append(common.pop())
-            if len(set(shared)) != 3:
+            try:
+                es = [curve_index[x] for x in t.curves]
+            except KeyError:
+                raise ValueError(f"triple point {t.id!r} references an unknown double curve") from None
+            (a0, b0), (a1, b1), (a2, b2) = p0, p1, p2 = [pairs[e] for e in es]
+            # side i runs along curve i forwards iff its first end is not on curve i + 1
+            f0, f1, f2 = a0 not in p1, a1 not in p2, a2 not in p0
+            tails = (a0 if f0 else b0), (a1 if f1 else b1), (a2 if f2 else b2)
+            heads = (b0 if f0 else a0), (b1 if f1 else a1), (b2 if f2 else a2)
+            if tails != (heads[2], heads[0], heads[1]):  # each side must start where the last one ends
+                for i in range(3):  # the first pair of curves i, i + 1 (i - 2 wraps round) that fails
+                    common = [x for x in pairs[es[i]] if x in pairs[es[i - 2]]]
+                    if len(common) != 1:
+                        raise ValueError(
+                            f"triple point {t.id!r}: curves {self.double_curves[es[i]].id!r} and "
+                            f"{self.double_curves[es[i - 2]].id!r} share {len(common)} components, expected exactly 1"
+                        )
+                # each pair of curves meets once, so the three meeting points repeat
                 raise ValueError(f"triple point {t.id!r}: incident components are not distinct")
-            # shared[i] is common to curves i and i+1, so curve i joins v[i] = shared[i - 1]
-            # and v[i + 1] = shared[i]; side i runs along it forwards iff it starts at v[i]
-            v = (shared[2], shared[0], shared[1])
-            triangles[t.id] = (v, tuple(t.curves))
-            signs[t.id] = tuple(1 if d[i].components[0] == v[i] else -1 for i in range(3))
+            tedges += es
+            signs += (1 if f0 else -1, 1 if f1 else -1, 1 if f2 else -1)
         # DeltaComplex's checks follow from these, so they are not run again: ids are unique,
         # each curve joins two distinct known components (no unknown end, no loop), and each
-        # point's curves pairwise share exactly one component (so side i's edge joins v[i], v[i + 1])
-        edges = {d.id: tuple(d.components) for d in self.double_curves}
-        self._complex = DeltaComplex.__new__(DeltaComplex)._build(comp_ids, edges, triangles, signs)
+        # point's curves pairwise share exactly one component (so side i's edge joins corners i, i + 1)
+        self._complex = DeltaComplex.__new__(DeltaComplex)._build(
+            comp_ids, list(curve_index), ends, [t.id for t in self.triple_points], tedges, signs
+        )
 
     def dual_complex(self) -> DeltaComplex:
         """Vertex per component, edge per double curve, triangle per triple point."""

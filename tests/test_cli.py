@@ -669,6 +669,7 @@ class TestFiberPaths:
             {d.id: d.components for d in surface.double_curves},
             {t.id: (verts, t.curves) for t, verts in zip(surface.triple_points, triangle_vertices)},
         )
-        assert fast.vertices == checked.vertices
-        for attr in ("edges", "triangles", "triangle_signs", "_sides"):  # the same entries in the same order
+        for attr in ("vertices", "_eids", "_ends", "_tids", "_tedges", "_signs", "_sides"):
+            assert getattr(fast, attr) == getattr(checked, attr), attr
+        for attr in ("edges", "triangles", "triangle_signs"):  # the same entries in the same order
             assert list(getattr(fast, attr).items()) == list(getattr(checked, attr).items()), attr
