@@ -100,14 +100,15 @@ class FiberConfiguration:
     def from_json(cls, data) -> "FiberConfiguration":
         """Accepts a list of labels (with repeats) or a label -> count map."""
         if isinstance(data, dict):
-            labels = []
-            for label, count in data.items():
+            for count in data.values():
                 if isinstance(count, bool) or not isinstance(count, int):
                     raise ValueError(f"fiber count must be an integer, got {count!r}")
                 if count < 1:
                     raise ValueError(f"fiber count must be positive, got {count}")
-                labels.extend([label] * count)
-            return cls(labels)
+            config = cls(())
+            for label, count in data.items():  # each label parsed once, however large its count
+                config.fibers[KodairaFiber.parse(label)] += count
+            return config
         if type(data) is not list:
             raise ValueError(f"fiber multiset must be a JSON array or object, got {data!r}")
         return cls(data)

@@ -173,9 +173,13 @@ class SNCSurface:
                 )
                 for d in _json_array(ValueError, "double_curves", data["double_curves"])
             ]
+            points = _json_array(ValueError, "triple_points", data.get("triple_points", []))
+            for t in points:
+                if type(t) is not dict:
+                    raise ValueError(f"triple_points entries must be JSON objects, got {t!r}")
             points = [
                 TriplePoint(t.get("id", f"t{i}"), _json_array(ValueError, "triple point curves", t["curves"]))
-                for i, t in enumerate(_json_array(ValueError, "triple_points", data.get("triple_points", [])))
+                for i, t in enumerate(points)
             ]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed surface payload: {exc}") from exc

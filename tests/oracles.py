@@ -238,15 +238,16 @@ def octahedron() -> DeltaComplex:
     return DeltaComplex(vertices, edges, triangles)
 
 
-def _simplicial(n, triples) -> DeltaComplex:
+def _simplicial(n, triples, sep="") -> DeltaComplex:
     """The complex on vertices 0..n-1 whose triangles are the given vertex
     triples, each side along the edge between its ends. Edge ids "ab" and
-    triangle ids "abc" are strings, so the complex round-trips through JSON."""
+    triangle ids "abc" (joined by sep) are strings, so the complex
+    round-trips through JSON."""
     edges, triangles = {}, {}
     for a, b, c in map(sorted, triples):
         for x, y in ((a, b), (b, c), (a, c)):
-            edges[f"{x}{y}"] = (x, y)
-        triangles[f"{a}{b}{c}"] = ((a, b, c), (f"{a}{b}", f"{b}{c}", f"{a}{c}"))
+            edges[f"{x}{sep}{y}"] = (x, y)
+        triangles[f"{a}{sep}{b}{sep}{c}"] = ((a, b, c), (f"{a}{sep}{b}", f"{b}{sep}{c}", f"{a}{sep}{c}"))
     return DeltaComplex(range(n), edges, triangles)
 
 
@@ -264,6 +265,32 @@ def six_vertex_rp2() -> DeltaComplex:
         (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
         (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5),
     ])
+
+
+def pachner_sphere(rng, moves) -> DeltaComplex:
+    """A random simplicial 2-sphere: the tetrahedron's boundary after the given
+    number of bistellar moves, each a 1-3 move (a new vertex inside a random
+    triangle) or a 2-2 move (two triangles on a random edge ab, acb and abd,
+    become acd and bcd; skipped when the edge cd exists already). Vertex
+    degrees end up irregular. Ids are joined by "-", so vertex 12 stays apart
+    from vertices 1 and 2."""
+    triangles = {frozenset(t) for t in itertools.combinations(range(4), 3)}
+    n = 4
+    for _ in range(moves):
+        t = rng.choice(sorted(triangles, key=sorted))
+        if rng.random() < 0.5:
+            a, b, c = sorted(t)
+            triangles -= {t}
+            triangles |= {frozenset((a, b, n)), frozenset((b, c, n)), frozenset((a, c, n))}
+            n += 1
+            continue
+        ab = frozenset(rng.sample(sorted(t), 2))
+        (other,) = [u for u in triangles if ab < u and u != t]
+        cd = (t | other) - ab
+        if not any(cd < u for u in triangles):
+            triangles -= {t, other}
+            triangles |= {cd | {x} for x in ab}
+    return _simplicial(n, [tuple(t) for t in triangles], sep="-")
 
 
 def vertex_automorphism(complex_: DeltaComplex, vertex_map) -> ComplexAutomorphism:

@@ -16,6 +16,8 @@ from k3degen.dualcomplex import DeltaComplex
 from k3degen.sncfiber import KINDS, SNCSurface
 from test_dualcomplex import generated_complexes
 
+import oracles
+
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -175,6 +177,12 @@ class TestClassifyFiber:
         proc.stderr.close()
         assert code == 0 and err == "Type II, grw = [0, 2, 18, 2, 0]\n"
         assert not any(word in err for word in ("error:", "Traceback", "Exception ignored"))
+
+    @pytest.mark.parametrize("point", ["x", 3, None, ["a", "b", "c"]])
+    def test_triple_point_must_be_an_object(self, capsys, tmp_path, point):
+        payload = dict(TETRA_SURFACE, triple_points=[point])
+        code, out, err = invoke(capsys, ["classify-fiber", payload_file(tmp_path, "fiber.json", payload)])
+        assert (code, out, err) == (1, "", f"error: triple_points entries must be JSON objects, got {point!r}\n")
 
     def test_deterministic_output(self, capsys, tmp_path):
         path = payload_file(tmp_path, "tetra.json", TETRA_SURFACE)
@@ -494,6 +502,15 @@ class TestEulerCommand:
             assert (code, out) == (1, "")
             assert err == f"error: fiber multiset must be a JSON array or object, got {fibers!r}\n"
 
+    def test_huge_counts_are_counted_not_listed(self, capsys, tmp_path):
+        # each label is parsed once and its count added, so no list of 10**30 labels is built
+        code, out, _ = invoke(capsys, ["euler", payload_file(tmp_path, "fibers.json", {"fibers": {"I1": 10**30}})])
+        assert code == 0
+        assert json.loads(out)["result"] == {"euler_sum": 10**30, "is_k3": False, "trivial_lattice_rank": 2}
+        code, out, _ = invoke(capsys, ["euler", payload_file(tmp_path, "fibers.json", {"fibers": {"I2": 10**30}})])
+        assert code == 2
+        assert json.loads(out)["result"]["error"]["constraint"] == "ImpossibleConfiguration"
+
     def test_non_string_label_is_bad_input(self, capsys, tmp_path):
         path = payload_file(tmp_path, "fibers.json", ["II", 3])
         code, out, err = invoke(capsys, ["euler", path])
@@ -673,3 +690,24 @@ class TestFiberPaths:
             assert getattr(fast, attr) == getattr(checked, attr), attr
         for attr in ("edges", "triangles", "triangle_signs"):  # the same entries in the same order
             assert list(getattr(fast, attr).items()) == list(getattr(checked, attr).items()), attr
+
+
+class TestPachnerFibers:
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.randoms(use_true_random=False), st.integers(0, 60))
+    def test_random_sphere_fiber_is_type_three(self, tmp_path_factory, rng, moves):
+        c = oracles.pachner_sphere(rng, moves)
+        payload = {
+            "components": [{"id": f"v{v}", "b1": 0, "b2": 1} for v in c.vertices],
+            "double_curves": [
+                {"id": e, "components": [f"v{a}", f"v{b}"], "genus": 0} for e, (a, b) in c.edges.items()
+            ],
+            "triple_points": [{"id": t, "curves": list(es)} for t, (_, es) in c.triangles.items()],
+        }
+        path = tmp_path_factory.getbasetemp() / "sphere.json"
+        path.write_text(json.dumps(payload))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            assert run(["classify-fiber", str(path)]) == 0
+        result = json.loads(out.getvalue())["result"]
+        assert result["type"] == "III" and result["crosscheck"]["all_passed"]

@@ -426,6 +426,32 @@ class TestGeneratedSurfaces:
         assert DeltaComplex(*raw).homology_dims() == oracles.raw_homology(*raw)
 
 
+class TestPachnerSpheres:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.randoms(use_true_random=False), st.integers(0, 60))
+    def test_random_spheres_are_oriented_spheres(self, rng, moves):
+        c = oracles.pachner_sphere(rng, moves)
+        assert sphere_failure(c) is None
+        assert c.homology_dims() == (1, 0, 1)
+        orientation = orient(c)
+        for (t1, s1), (t2, s2) in _raw_sides(*_raw(c)[1:]).values():  # the oriented sides cancel
+            assert orientation[t1] * s1 + orientation[t2] * s2 == 0
+
+
+class TestJsonRoundTrip:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(generated_complexes())
+    def test_views_survive_to_json_and_back(self, raw):
+        c = DeltaComplex(*raw)
+        payload = json.loads(json.dumps(c.to_json_dict()))
+        again = DeltaComplex.from_json_dict(payload)
+        assert again.to_json_dict() == payload
+        assert again.vertices == c.vertices
+        for view in ("edges", "triangles", "triangle_signs"):  # the same entries; edges and triangles re-sorted
+            assert getattr(again, view) == getattr(c, view), view
+        assert again.homology_dims() == c.homology_dims()
+
+
 class TestKleinBottle:
     def test_homology(self):
         c = klein_bottle()
