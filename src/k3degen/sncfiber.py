@@ -101,7 +101,8 @@ class SNCSurface:
         if len({t.id for t in self.triple_points}) != len(self.triple_points):
             raise ValueError("repeated triple point id")
 
-        ends = [comp_index.get(x, -1) for d in self.double_curves for x in d.components]  # curve k: 2k, 2k + 1
+        # curve k joins components ends[2k] and ends[2k + 1]; -1 marks an unknown one
+        ends = [comp_index.get(x, -1) for d in self.double_curves for x in d.components]
         if -1 in ends:
             raise ValueError(f"double curve {self.double_curves[ends.index(-1) // 2].id!r} references an unknown component")
 
