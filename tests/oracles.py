@@ -537,3 +537,130 @@ def fiber_triangle(point_id, curve_ids, curves):
         raise ValueError(f"triple point {point_id!r}: incident components are not distinct")
     vertices = tuple(next(c for c in curves[x] if c not in curves[y]) for x, y in pairs)
     return vertices, tuple(1 if curves[x][0] == v else -1 for x, v in zip(curve_ids, vertices))
+
+
+def _rational(c) -> bool:
+    return c["b1"] == 0 and c.get("kind", "rational") == "rational"
+
+
+def _elliptic_ruled(c) -> bool:
+    return c["b1"] == 2 and c.get("kind", "elliptic_ruled") == "elliptic_ruled"
+
+
+def _type1_reason(comps, curves):
+    if len(comps) != 1:
+        return f"{len(comps)} components, expected 1"
+    if curves:
+        return "has double curves"
+    (c,) = comps
+    if c.get("kind", "k3") != "k3":
+        return f"component kind is {c['kind']!r}, expected k3"
+    if c["b1"] != 0:
+        return f"component has b1 = {c['b1']}, expected 0"
+    if c.get("b2", 22) != 22:
+        return f"component has b2 = {c['b2']}, expected 22"
+    return None
+
+
+def _type2_reason(comps, curves, points):
+    """A chain: its ends found by degree, its order by distance from the first
+    end in component order, connectivity by the bare union-find."""
+    n = len(comps)
+    if n < 2:
+        return "fewer than 2 components"
+    if points:
+        return "has triple points"
+    for d in curves:
+        if d["genus"] != 1:
+            return f"double curve {d['id']!r} has genus {d['genus']}, expected 1"
+    for k, d in enumerate(curves):
+        if any(set(e["components"]) == set(d["components"]) for e in curves[:k]):
+            a, b = d["components"]
+            return f"components {a!r} and {b!r} meet in more than one curve (dual graph not a path)"
+    if len(curves) != n - 1:
+        return f"{len(curves)} double curves, a chain of {n} needs {n - 1}"
+    ids = [c["id"] for c in comps]
+    degree = {x: sum(x in d["components"] for d in curves) for x in ids}
+    ends = [x for x in ids if degree[x] == 1]
+    if len(ends) != 2 or max(degree.values()) > 2:
+        return "dual graph is not a path"
+    if not is_connected(ids, [d["components"] for d in curves]):
+        return "dual graph is not connected"
+    distance, frontier = {ends[0]: 0}, [ends[0]]
+    while frontier:
+        x = frontier.pop()
+        for a, b in (d["components"] for d in curves):
+            for y, z in ((a, b), (b, a)):
+                if y == x and z not in distance:
+                    distance[z] = distance[x] + 1
+                    frontier.append(z)
+    by_id = dict(zip(ids, comps))
+    order = sorted(ids, key=distance.__getitem__)
+    for x in (order[0], order[-1]):
+        if not _rational(by_id[x]):
+            return f"end component {x!r} is not rational (b1 = 0)"
+    for x in order[1:-1]:
+        if not _elliptic_ruled(by_id[x]):
+            return f"interior component {x!r} is not elliptic ruled (b1 = 2)"
+    return None
+
+
+def _sphere_reason(vertices, edges, triangles):
+    """sphere_failure's reason, from the raw cells: a connected closed surface
+    whose links are cycles is orientable iff h2 = 1 over Q, and then a sphere
+    iff its Euler characteristic is 2."""
+    if not vertices or not triangles:
+        return "empty complex or no triangles"
+    if not is_connected(vertices, edges.values()):
+        return "not connected"
+    for e in edges:
+        sides = sum(tri_edges.count(e) for _, tri_edges, _ in triangles.values())
+        if sides != 2:
+            return f"edge {e!r} lies on {sides} triangle sides, expected 2"
+    for v in vertices:
+        if not link_is_cycle(v, edges, triangles):
+            return f"link of vertex {v!r} is not a single circle"
+    if is_sphere(vertices, edges, triangles):
+        return None
+    if raw_homology(vertices, edges, triangles)[2] != 1:
+        return "not orientable"
+    return f"Euler characteristic is {len(vertices) - len(edges) + len(triangles)}, expected 2"
+
+
+def _type3_reason(comps, curves, triangles):
+    for c in comps:
+        if not _rational(c):
+            return f"component {c['id']!r} is not rational (b1 = 0)"
+    for d in curves:
+        if d["genus"] != 0:
+            return f"double curve {d['id']!r} has genus {d['genus']}, expected 0"
+    edges = {d["id"]: tuple(d["components"]) for d in curves}
+    reason = _sphere_reason([c["id"] for c in comps], edges, triangles)
+    return None if reason is None else f"dual complex is not a sphere triangulation: {reason}"
+
+
+def kulikov_verdict(payload):
+    """classify's answer on a valid fiber payload, from its raw cells: the
+    type "I", "II" or "III", or the NotKulikov text that names the first
+    failed clause of each pattern. Raises SNCSurface's ValueError when a
+    triple point does not bound a triangle."""
+    comps, curves = payload["components"], payload["double_curves"]
+    points = payload.get("triple_points", [])
+    ends = {d["id"]: tuple(d["components"]) for d in curves}
+    triangles = {}
+    for i, p in enumerate(points):
+        pid = p.get("id", f"t{i}")
+        verts, signs = fiber_triangle(pid, tuple(p["curves"]), ends)
+        triangles[pid] = (verts, tuple(p["curves"]), signs)
+    if not comps:
+        return "empty fiber"
+    failures = []
+    for name, why in (
+        ("I", _type1_reason(comps, curves)),
+        ("II", _type2_reason(comps, curves, points)),
+        ("III", _type3_reason(comps, curves, triangles)),
+    ):
+        if why is None:
+            return name
+        failures.append(f"not Type {name}: {why}")
+    return "; ".join(failures)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from k3degen.sncfiber import (
+    KINDS,
     Component,
     DoubleCurve,
     KulikovType,
@@ -172,6 +173,121 @@ class TestTriangleDerivation:
         c = SNCSurface.from_json_dict(payload).dual_complex()
         assert c.triangles["t"] == (expected[0], point)
         assert c.triangle_signs["t"] == expected[1]
+
+
+def _complex_fiber(c):
+    """The fiber whose dual complex is c: rational components meeting in rational curves."""
+    return {
+        "components": [{"id": v, "b1": 0} for v in c.vertices],
+        "double_curves": [{"id": e, "components": list(ends), "genus": 0} for e, ends in c.edges.items()],
+        "triple_points": [{"id": t, "curves": list(es)} for t, (_, es) in c.triangles.items()],
+    }
+
+
+def _linked(names, b1, closed=False):
+    """Components with the given b1 on a path, or a cycle, of elliptic double curves."""
+    comps = [{"id": x, "b1": b} for x, b in zip(names, b1)]
+    pairs = list(zip(names, names[1:] + names[:1] if closed else names[1:]))
+    return comps, [{"id": f"C{a}{b}", "components": [a, b], "genus": 1} for a, b in pairs]
+
+
+@st.composite
+def near_kulikov_payloads(draw):
+    """A fiber payload near one Kulikov pattern: a smooth K3; a chain, star, cycle,
+    chain with a parallel curve, or chain beside a cycle; or the 7-vertex torus,
+    the 6-vertex RP^2 or a Pachner sphere. Then up to two strata are perturbed
+    (b1, b2, kind, two components trading ids, a dropped triple point or curve, a
+    parallel curve, an isolated component) and each section is shuffled."""
+    shape = draw(st.sampled_from(
+        ("smooth", "smooth", "chain", "chain", "chain", "star", "cycle", "multi", "split", "torus", "rp2", "sphere",
+         "sphere", "wedge")
+    ))
+    points = []
+    if shape == "smooth":
+        comps, curves = [{"id": "X", "b1": draw(st.sampled_from((0, 0, 1, 2)))}], []
+        for key, values in (("b2", (22, 22, 20, None)), ("kind", ("k3", "k3", "rational", None))):
+            value = draw(st.sampled_from(values))
+            if value is not None:
+                comps[0][key] = value
+    elif shape in ("chain", "multi"):
+        n = draw(st.integers(2, 6))
+        b1 = [0] + [2] * (n - 2) + [0]
+        comps, curves = _linked([f"Z{i}" for i in range(n)], [draw(st.sampled_from((b, b, b, 1))) for b in b1])
+        if shape == "multi":
+            curves.append({**draw(st.sampled_from(curves)), "id": "D"})
+    elif shape == "star":
+        comps, curves = _linked(["Z0", "Z1"], [2, 0])
+        for leaf in ("Z2", "Z3", "Z4")[:draw(st.integers(2, 3))]:
+            comps.append({"id": leaf, "b1": 0})
+            curves.append({"id": f"CZ0{leaf}", "components": ["Z0", leaf], "genus": 1})
+    elif shape == "cycle":
+        n = draw(st.integers(3, 6))
+        comps, curves = _linked([f"Z{i}" for i in range(n)], [2] * n, closed=True)
+    elif shape == "split":
+        k, m = draw(st.integers(2, 4)), draw(st.integers(3, 4))
+        comps, curves = _linked([f"Z{i}" for i in range(k)], [0] + [2] * (k - 2) + [0])
+        more = _linked([f"W{i}" for i in range(m)], [2] * m, closed=True)
+        comps, curves = comps + more[0], curves + more[1]
+    else:
+        sphere = lambda: oracles.pachner_sphere(random.Random(draw(st.integers(0, 99))), draw(st.integers(0, 12)))
+        c = {"torus": oracles.seven_vertex_torus, "rp2": oracles.six_vertex_rp2}.get(shape, sphere)()
+        fiber = _complex_fiber(c)
+        comps, curves, points = fiber["components"], fiber["double_curves"], fiber["triple_points"]
+        if shape == "wedge":  # a second sphere glued on at vertex 0, whose link is then two circles
+            c = sphere()
+            name = {v: v if v == 0 else f"b{v}" for v in c.vertices}
+            comps += [{"id": name[v], "b1": 0} for v in c.vertices[1:]]
+            curves += [{"id": f"b{e}", "components": [name[a], name[b]], "genus": 0} for e, (a, b) in c.edges.items()]
+            points += [{"id": f"b{t}", "curves": [f"b{e}" for e in es]} for t, (_, es) in c.triangles.items()]
+    for d in curves:
+        if draw(st.booleans()):
+            d["components"] = d["components"][::-1]
+    for c in comps:  # a kind tag that agrees with b1, or none
+        if "kind" not in c and draw(st.booleans()):
+            c["kind"] = {0: "rational", 2: "elliptic_ruled"}.get(c["b1"], "k3")
+    for _ in range(draw(st.integers(0, 2))):
+        change = draw(st.sampled_from(("b1", "b2", "kind", "swap", "genus", "point", "curve", "parallel", "isolated")))
+        if change == "swap":  # two components trade places in the strata
+            a, b = draw(st.sampled_from(comps)), draw(st.sampled_from(comps))
+            a["id"], b["id"] = b["id"], a["id"]
+        elif change in ("b1", "b2", "kind"):
+            c = draw(st.sampled_from(comps))
+            value = draw(st.sampled_from({"b1": (0, 1, 2, 3), "b2": (20, 22, None), "kind": (*KINDS, None)}[change]))
+            if value is None:
+                c.pop(change, None)
+            else:
+                c[change] = value
+        elif change == "genus" and curves:
+            draw(st.sampled_from(curves))["genus"] = draw(st.integers(0, 2))
+        elif change == "point" and points:
+            points.remove(draw(st.sampled_from(points)))
+        elif change == "curve" and curves:
+            used = {x for p in points for x in p["curves"]}  # dropping one of these makes the payload invalid
+            curves.remove(draw(st.sampled_from(curves + [d for d in curves if d["id"] not in used])))
+        elif change == "parallel" and curves:
+            curves.append({**draw(st.sampled_from(curves)), "id": f"P{len(curves)}"})
+        elif change == "isolated":
+            comps.append({"id": f"I{len(comps)}", "b1": draw(st.sampled_from((0, 2)))})
+    payload = {"components": comps, "double_curves": curves, "triple_points": points}
+    return {key: draw(st.permutations(cells)) for key, cells in payload.items()}
+
+
+class TestKulikovVerdict:
+    @settings(derandomize=True, deadline=None, max_examples=600)
+    @given(near_kulikov_payloads())
+    def test_classify_matches_raw_oracle(self, payload):
+        try:
+            expected = oracles.kulikov_verdict(payload)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as caught:
+                SNCSurface.from_json_dict(payload)
+            assert str(caught.value) == str(exc)
+            return
+        try:
+            verdict = str(classify(SNCSurface.from_json_dict(payload)))
+        except NotKulikov as exc:
+            verdict = str(exc)
+        assert verdict == expected
 
 
 class TestClassify:
