@@ -58,13 +58,10 @@ from .lattice import (
     standard_lattice,
 )
 from .sncfiber import (
-    Component,
-    DoubleCurve,
     KulikovType,
     MissingBetti,
     NotKulikov,
     SNCSurface,
-    TriplePoint,
     classify,
     crosscheck,
     e1_page,

@@ -100,29 +100,29 @@ def _pretty(obj, depth: int = 0) -> str:
 def _echo_surface(surface: SNCSurface) -> str:
     """Exactly _pretty(surface.to_json_dict(), 1), from one template per cell. from_json_dict
     lets through only str and int ids and int numbers, so each scalar is one encoder call."""
-    ids = [c.id for c in surface.components] + [d.id for d in surface.double_curves]
-    ids += [t.id for t in surface.triple_points]
-    text = {x: encode_basestring_ascii(x) if type(x) is str else int.__repr__(x) for x in ids}
+    text = {
+        x: encode_basestring_ascii(x) if type(x) is str else int.__repr__(x)
+        for x in (*surface.component_ids, *surface.curve_ids, *surface.point_ids)
+    }
     i8, i10 = " " * 8, " " * 10
     components = [
-        f'{{\n{i8}"b1": {c.b1!r},'
-        + ("" if c.b2 is None else f'\n{i8}"b2": {c.b2!r},')
-        + f'\n{i8}"id": {text[c.id]}'
-        + ("" if c.kind is None else f',\n{i8}"kind": {encode_basestring_ascii(c.kind)}')
+        f'{{\n{i8}"b1": {b1!r},'
+        + ("" if b2 is None else f'\n{i8}"b2": {b2!r},')
+        + f'\n{i8}"id": {text[cid]}'
+        + ("" if kind is None else f',\n{i8}"kind": {encode_basestring_ascii(kind)}')
         + "\n      }"
-        for c in surface.components
+        for cid, b1, b2, kind in zip(surface.component_ids, surface.b1, surface.b2, surface.kinds)
     ]
+    ends, on = surface.ends, surface.point_curves
     curves = [
         f'{{\n{i8}"components": [\n{i10}{text[a]},\n{i10}{text[b]}\n{i8}],'
-        f'\n{i8}"genus": {d.genus!r},\n{i8}"id": {text[d.id]}\n      }}'
-        for d in surface.double_curves
-        for a, b in (d.components,)
+        f'\n{i8}"genus": {g!r},\n{i8}"id": {text[cid]}\n      }}'
+        for cid, a, b, g in zip(surface.curve_ids, ends[::2], ends[1::2], surface.genus)
     ]
     points = [
         f'{{\n{i8}"curves": [\n{i10}{text[x]},\n{i10}{text[y]},\n{i10}{text[z]}\n{i8}],'
-        f'\n{i8}"id": {text[t.id]}\n      }}'
-        for t in surface.triple_points
-        for x, y, z in (t.curves,)
+        f'\n{i8}"id": {text[pid]}\n      }}'
+        for pid, x, y, z in zip(surface.point_ids, on[::3], on[1::3], on[2::3])
     ]
     body = ",\n    ".join(
         f'"{key}": [\n      ' + ",\n      ".join(cells) + "\n    ]" if cells else f'"{key}": []'
@@ -161,7 +161,7 @@ def _cmd_classify_fiber(args) -> int:
         _summary(f"not a Kulikov fiber: {exc}")
         return EXIT_CONSTRAINT
     result = {"type": str(t), "grw": list(grw_dims(t)), "crosscheck": check}
-    if all(c.b2 is not None for c in surface.components):
+    if None not in surface.b2:
         grid = e1_page(surface)
         result["e1"] = [
             {"p": p, "dims": [grid[(p, q)] for q in range(5)]} for p in range(-2, 3)

@@ -42,11 +42,51 @@ def _require_json_ids(error, *groups):
             raise error(f"id {bad!r} is not a JSON string or integer")
 
 
-def _json_array(error, field, value):
-    """value as a tuple; tuple() of a JSON string would split it into one-character ids."""
-    if type(value) is not list:
-        raise error(f"{field} must be a JSON array, got {value!r}")
-    return tuple(value)
+def _section(error, data, name):
+    """The JSON array data[name] of a payload object; a name ending in ? may be absent, reading []."""
+    if type(data) is not dict:
+        raise error(f"payload must be a JSON object, got {data!r}")
+    key = name.rstrip("?")
+    if key not in data:
+        if key == name:
+            raise error(f"payload has no field {key!r}")
+        return []
+    if type(data[key]) is not list:
+        raise error(f"{key} must be a JSON array, got {data[key]!r}")
+    return data[key]
+
+
+def _read(error, data, section, fields, absent=None):
+    """The cells of the JSON array data[section] as one list per field, then None. A
+    field x? may be absent, reading absent; a field x[] must be a JSON array. When a
+    cell is not a JSON object or a field is missing or not an array, the lists stop
+    before that cell, and the error naming its section, index and field comes in
+    place of None: the caller checks the values of the cells before it, then raises
+    it, so that faults are reported cell by cell."""
+    cells = _section(error, data, section)
+    section, specs = section.rstrip("?"), [(f, f.rstrip("?").removesuffix("[]")) for f in fields]
+
+    def columns(cells):
+        return [[c.get(n, absent) for c in cells] if f[-1] == "?" else [c[n] for c in cells] for f, n in specs]
+
+    try:
+        out = columns(cells) if {dict}.issuperset(map(type, cells)) else None
+    except KeyError:  # a missing field, worded below
+        out = None
+    if out is not None and all(
+        {list}.issuperset(map(type, [x for x in col if x is not absent] if f[-1] == "?" else col))
+        for (f, _), col in zip(specs, out)
+        if "[]" in f
+    ):
+        return out, None
+    for k, cell in enumerate(cells):
+        if type(cell) is not dict:
+            return columns(cells[:k]), error(f"{section}[{k}] must be a JSON object, got {cell!r}")
+        for f, n in specs:
+            if n not in cell and f[-1] != "?":
+                return columns(cells[:k]), error(f"{section}[{k}] has no field {n!r}")
+            if n in cell and "[]" in f and type(cell[n]) is not list:
+                return columns(cells[:k]), error(f"{section}[{k}].{n} must be a JSON array, got {cell[n]!r}")
 
 
 def _classes(n, joins):
@@ -299,30 +339,28 @@ class DeltaComplex:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DeltaComplex":
-        try:
-            vertices = _json_array(InvalidComplex, "vertices", data["vertices"])
-            edge_list = _json_array(InvalidComplex, "edges", data["edges"])
-            edges = {e["id"]: _json_array(InvalidComplex, "edge v", e["v"]) for e in edge_list}
-            triangles = {}
-            for t in _json_array(InvalidComplex, "triangles", data["triangles"]):
-                triangles[t["id"]] = (
-                    _json_array(InvalidComplex, "triangle vertices", t["vertices"]),
-                    _json_array(InvalidComplex, "triangle edges", t["edges"]),
-                    _json_array(InvalidComplex, "triangle signs", t["signs"]) if "signs" in t else (None,) * 3,
-                )
-        except (KeyError, TypeError) as exc:
-            raise InvalidComplex(f"malformed complex payload: {exc}") from exc
-        if len(edges) != len(edge_list):
-            raise InvalidComplex("repeated edge id")
-        if len(triangles) != len(data["triangles"]):
-            raise InvalidComplex("repeated triangle id")
-        # after the repeat checks, so the keys of edges and triangles are every declared id
+        vertices = _section(InvalidComplex, data, "vertices")
+        (eids, ends), fault = _read(InvalidComplex, data, "edges", ("id", "v[]"))
+        if fault:
+            raise fault
+        (tids, corners, sides, signs), fault = _read(
+            InvalidComplex, data, "triangles", ("id", "vertices[]", "edges[]", "signs[]?"), (None,) * 3
+        )
+        if fault:
+            raise fault
+        # before the repeat checks, which hash the ids
         _require_json_ids(
             InvalidComplex,
             vertices,
-            [x for eid, pair in edges.items() for x in (eid, *pair)],
-            [x for tid, (verts, tri_edges, _) in triangles.items() for x in (tid, *verts, *tri_edges)],
+            [x for eid, pair in zip(eids, ends) for x in (eid, *pair)],
+            [x for cell in zip(tids, corners, sides) for x in (cell[0], *cell[1], *cell[2])],
         )
+        edges = dict(zip(eids, ends))
+        if len(edges) != len(eids):
+            raise InvalidComplex("repeated edge id")
+        triangles = dict(zip(tids, zip(corners, sides, signs)))
+        if len(triangles) != len(tids):
+            raise InvalidComplex("repeated triangle id")
         return cls(vertices, edges, triangles)
 
 

@@ -11,11 +11,11 @@ b1 = 2, the weakest testable surrogate for the birational conditions.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
-from .dualcomplex import DeltaComplex, _json_array, _require_json_ids, sphere_failure
+from .dualcomplex import _ID_TYPES, DeltaComplex, _read, _require_json_ids, sphere_failure
 
 KINDS = ("rational", "elliptic_ruled", "k3")
+_NO_ID = object()  # a triple point given without an id is named t<k>, k its index
 
 
 class NotKulikov(Exception):
@@ -35,106 +35,60 @@ class KulikovType(enum.Enum):
         return self.value
 
 
-def _require_int(cell, cell_id, field, value):
-    # JSON true and 2.0 are not integers, however Python compares them
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{cell} {cell_id!r}: {field} must be an integer, got {value!r}")
-
-
-# slots: a fiber holds one instance per cell, so no per-instance __dict__
-@dataclass(frozen=True, slots=True)
-class Component:
-    id: object
-    b1: int
-    b2: int | None = None
-    kind: str | None = None
-
-    def __post_init__(self):
-        _require_int("component", self.id, "b1", self.b1)
-        if self.b2 is not None:
-            _require_int("component", self.id, "b2", self.b2)
-        if self.b1 < 0 or (self.b2 is not None and self.b2 < 0):
-            raise ValueError(f"component {self.id!r}: Betti numbers must be nonnegative")
-        if self.kind is not None and self.kind not in KINDS:
-            raise ValueError(f"component {self.id!r}: unknown kind {self.kind!r}")
-
-
-@dataclass(frozen=True, slots=True)
-class DoubleCurve:
-    id: object
-    components: tuple
-    genus: int
-
-    def __post_init__(self):
-        if len(self.components) != 2 or self.components[0] == self.components[1]:
-            raise ValueError(f"double curve {self.id!r} must join two distinct components")
-        _require_int("double curve", self.id, "genus", self.genus)
-        if self.genus < 0:
-            raise ValueError(f"double curve {self.id!r}: genus must be nonnegative")
-
-
-@dataclass(frozen=True, slots=True)
-class TriplePoint:
-    id: object
-    curves: tuple
-
-    def __post_init__(self):
-        if len(self.curves) != 3 or len(set(self.curves)) != 3:
-            raise ValueError(f"triple point {self.id!r} needs three distinct double curves")
-
-
 class SNCSurface:
-    """A simple normal crossing surface given by its strata incidence."""
+    """A simple normal crossing surface given by its strata incidence.
 
-    def __init__(self, components, double_curves, triple_points=()):
-        self.components = tuple(components)
-        self.double_curves = tuple(double_curves)
-        self.triple_points = tuple(triple_points)
+    The cells are stored as columns. Component k has id component_ids[k],
+    b1[k], and b2[k] and kinds[k], None where not given; double curve k has id
+    curve_ids[k] and genus[k], and joins the components ends[2k] and
+    ends[2k + 1], as given; triple point k has id point_ids[k] and lies on the
+    double curves point_curves[3k:3k + 3], as given.
+    """
 
-        comp_ids = tuple(c.id for c in self.components)
-        comp_index = {cid: k for k, cid in enumerate(comp_ids)}
-        if len(comp_index) != len(comp_ids):
-            raise ValueError("repeated component id")
-        curve_index = {d.id: k for k, d in enumerate(self.double_curves)}
-        if len(curve_index) != len(self.double_curves):
-            raise ValueError("repeated double curve id")
-        if len({t.id for t in self.triple_points}) != len(self.triple_points):
-            raise ValueError("repeated triple point id")
+    def __init__(self, component_ids, b1, b2, kinds, curve_ids, ends, genus, point_ids=(), point_curves=()):
+        self.component_ids, self.b1, self.b2, self.kinds = component_ids, b1, b2, kinds
+        self.curve_ids, self.ends, self.genus = curve_ids, ends, genus
+        self.point_ids, self.point_curves = point_ids, point_curves
 
-        # curve k joins components ends[2k] and ends[2k + 1]; -1 marks an unknown one
-        ends = [comp_index.get(x, -1) for d in self.double_curves for x in d.components]
-        if -1 in ends:
-            raise ValueError(f"double curve {self.double_curves[ends.index(-1) // 2].id!r} references an unknown component")
+        comp_index, curve_index, point_index = (dict(zip(ids, range(len(ids)))) for ids in (component_ids, curve_ids, point_ids))
+        for index, ids, name in ((comp_index, component_ids, "component"), (curve_index, curve_ids, "double curve"),
+                                 (point_index, point_ids, "triple point")):
+            if len(index) != len(ids):
+                raise ValueError(f"repeated {name} id")
 
-        pairs = list(zip(ends[::2], ends[1::2]))
-        tedges, signs = [], []
-        for t in self.triple_points:
-            try:
-                es = [curve_index[x] for x in t.curves]
-            except KeyError:
-                raise ValueError(f"triple point {t.id!r} references an unknown double curve") from None
-            (a0, b0), (a1, b1), (a2, b2) = p0, p1, p2 = [pairs[e] for e in es]
-            # side i runs along curve i forwards iff its first end is not on curve i + 1
-            f0, f1, f2 = a0 not in p1, a1 not in p2, a2 not in p0
-            tails = (a0 if f0 else b0), (a1 if f1 else b1), (a2 if f2 else b2)
-            heads = (b0 if f0 else a0), (b1 if f1 else a1), (b2 if f2 else a2)
-            if tails != (heads[2], heads[0], heads[1]):  # each side must start where the last one ends
+        # curve k joins components iends[2k] and iends[2k + 1]; -1 marks an unknown one
+        iends = [comp_index.get(x, -1) for x in ends]
+        if -1 in iends:
+            raise ValueError(f"double curve {curve_ids[iends.index(-1) // 2]!r} references an unknown component")
+
+        us, vs = iends[::2], iends[1::2]  # curve k runs from us[k] to vs[k]
+        tedges = [curve_index.get(x, -1) for x in point_curves]
+        signs = []
+        for k, pid in enumerate(point_ids):
+            e0, e1, e2 = es = tedges[3 * k:3 * k + 3]
+            if -1 in es:
+                raise ValueError(f"triple point {pid!r} references an unknown double curve")
+            u0, v0, u1, v1, u2, v2 = us[e0], vs[e0], us[e1], vs[e1], us[e2], vs[e2]
+            # side i runs along curve i forwards iff u_i is not on curve i + 1, and each side
+            # must start where the one before it ends
+            f0, f1, f2 = u0 != u1 and u0 != v1, u1 != u2 and u1 != v2, u2 != u0 and u2 != v0
+            if ((u1 if f1 else v1) != (v0 if f0 else u0) or (u2 if f2 else v2) != (v1 if f1 else u1)
+                    or (u0 if f0 else v0) != (v2 if f2 else u2)):
                 for i in range(3):  # the first pair of curves i, i + 1 (i - 2 wraps round) that fails
-                    common = [x for x in pairs[es[i]] if x in pairs[es[i - 2]]]
+                    common = [x for x in (us[es[i]], vs[es[i]]) if x in (us[es[i - 2]], vs[es[i - 2]])]
                     if len(common) != 1:
                         raise ValueError(
-                            f"triple point {t.id!r}: curves {self.double_curves[es[i]].id!r} and "
-                            f"{self.double_curves[es[i - 2]].id!r} share {len(common)} components, expected exactly 1"
+                            f"triple point {pid!r}: curves {curve_ids[es[i]]!r} and "
+                            f"{curve_ids[es[i - 2]]!r} share {len(common)} components, expected exactly 1"
                         )
                 # each pair of curves meets once, so the three meeting points repeat
-                raise ValueError(f"triple point {t.id!r}: incident components are not distinct")
-            tedges += es
+                raise ValueError(f"triple point {pid!r}: incident components are not distinct")
             signs += (1 if f0 else -1, 1 if f1 else -1, 1 if f2 else -1)
         # DeltaComplex's checks follow from these, so they are not run again: ids are unique,
         # each curve joins two distinct known components (no unknown end, no loop), and each
         # point's curves pairwise share exactly one component (so side i's edge joins corners i, i + 1)
         self._complex = DeltaComplex.__new__(DeltaComplex)._build(
-            comp_ids, list(curve_index), ends, [t.id for t in self.triple_points], tedges, signs
+            tuple(component_ids), curve_ids, iends, point_ids, tedges, signs
         )
 
     def dual_complex(self) -> DeltaComplex:
@@ -144,53 +98,62 @@ class SNCSurface:
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        ends, on = self.ends, self.point_curves
         return {
             "components": [
-                {
-                    "id": c.id,
-                    "b1": c.b1,
-                    **({"b2": c.b2} if c.b2 is not None else {}),
-                    **({"kind": c.kind} if c.kind is not None else {}),
-                }
-                for c in self.components
+                {"id": cid, "b1": b1, **({"b2": b2} if b2 is not None else {}), **({"kind": kind} if kind is not None else {})}
+                for cid, b1, b2, kind in zip(self.component_ids, self.b1, self.b2, self.kinds)
             ],
             "double_curves": [
-                {"id": d.id, "components": list(d.components), "genus": d.genus}
-                for d in self.double_curves
+                {"id": cid, "components": ends[2 * k:2 * k + 2], "genus": g}
+                for k, (cid, g) in enumerate(zip(self.curve_ids, self.genus))
             ],
-            "triple_points": [{"id": t.id, "curves": list(t.curves)} for t in self.triple_points],
+            "triple_points": [{"id": pid, "curves": on[3 * k:3 * k + 3]} for k, pid in enumerate(self.point_ids)],
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SNCSurface":
-        try:
-            components = [
-                Component(c["id"], c["b1"], c.get("b2"), c.get("kind"))
-                for c in _json_array(ValueError, "components", data["components"])
-            ]
-            curves = [
-                DoubleCurve(
-                    d["id"], _json_array(ValueError, "double curve components", d["components"]), d["genus"]
-                )
-                for d in _json_array(ValueError, "double_curves", data["double_curves"])
-            ]
-            points = _json_array(ValueError, "triple_points", data.get("triple_points", []))
-            for t in points:
-                if type(t) is not dict:
-                    raise ValueError(f"triple_points entries must be JSON objects, got {t!r}")
-            points = [
-                TriplePoint(t.get("id", f"t{i}"), _json_array(ValueError, "triple point curves", t["curves"]))
-                for i, t in enumerate(points)
-            ]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed surface payload: {exc}") from exc
-        _require_json_ids(
-            ValueError,
-            [c.id for c in components],
-            [x for d in curves for x in (d.id, *d.components)],
-            [x for t in points for x in (t.id, *t.curves)],
-        )
-        return cls(components, curves, points)
+        (ids, b1, b2, kinds), fault = _read(ValueError, data, "components", ("id", "b1", "b2?", "kind?"))
+        for cid, x, y, kind in zip(ids, b1, b2, kinds):
+            # JSON true and 2.0 are not integers, however Python compares them
+            if type(x) is not int:
+                raise ValueError(f"component {cid!r}: b1 must be an integer, got {x!r}")
+            if y is not None and type(y) is not int:
+                raise ValueError(f"component {cid!r}: b2 must be an integer, got {y!r}")
+            if x < 0 or (y is not None and y < 0):
+                raise ValueError(f"component {cid!r}: Betti numbers must be nonnegative")
+            if kind is not None and kind not in KINDS:
+                raise ValueError(f"component {cid!r}: unknown kind {kind!r}")
+        if fault:
+            raise fault
+        (curve_ids, pairs, genus), fault = _read(ValueError, data, "double_curves", ("id", "components[]", "genus"))
+        for cid, pair, g in zip(curve_ids, pairs, genus):
+            if len(pair) != 2 or pair[0] == pair[1]:
+                raise ValueError(f"double curve {cid!r} must join two distinct components")
+            if type(g) is not int:
+                raise ValueError(f"double curve {cid!r}: genus must be an integer, got {g!r}")
+            if g < 0:
+                raise ValueError(f"double curve {cid!r}: genus must be nonnegative")
+        if fault:
+            raise fault
+        (point_ids, on), fault = _read(ValueError, data, "triple_points?", ("id?", "curves[]"), _NO_ID)
+        point_ids = [f"t{t}" if pid is _NO_ID else pid for t, pid in enumerate(point_ids)]
+        for pid, c in zip(point_ids, on):
+            if len(c) != 3 or c[0] == c[1] or c[1] == c[2] or c[0] == c[2]:
+                raise ValueError(f"triple point {pid!r} needs three distinct double curves")
+        if fault:
+            raise fault
+        ends = [x for pair in pairs for x in pair]
+        point_curves = [x for c in on for x in c]
+        if not all(_ID_TYPES.issuperset(map(type, column)) for column in (ids, curve_ids, ends, point_ids, point_curves)):
+            # the first offending id, in payload order
+            _require_json_ids(
+                ValueError,
+                ids,
+                [x for k, cid in enumerate(curve_ids) for x in (cid, *ends[2 * k:2 * k + 2])],
+                [x for t, pid in enumerate(point_ids) for x in (pid, *point_curves[3 * t:3 * t + 3])],
+            )
+        return cls(ids, b1, b2, kinds, curve_ids, ends, genus, point_ids, point_curves)
 
 
 _GRW_TABLE = {
@@ -205,58 +168,56 @@ def grw_dims(t: KulikovType) -> tuple:
     return _GRW_TABLE[t]
 
 
-def _is_rational(c: Component) -> bool:
-    return c.b1 == 0 and c.kind in (None, "rational")
+def _is_rational(b1, kind) -> bool:
+    return b1 == 0 and kind in (None, "rational")
 
 
-def _is_elliptic_ruled(c: Component) -> bool:
-    return c.b1 == 2 and c.kind in (None, "elliptic_ruled")
+def _is_elliptic_ruled(b1, kind) -> bool:
+    return b1 == 2 and kind in (None, "elliptic_ruled")
 
 
 def _type1_failure(s: SNCSurface):
-    if len(s.components) != 1:
-        return f"{len(s.components)} components, expected 1"
-    if s.double_curves:
+    if len(s.component_ids) != 1:
+        return f"{len(s.component_ids)} components, expected 1"
+    if s.curve_ids:
         return "has double curves"
-    c = s.components[0]
-    if c.kind not in (None, "k3"):
-        return f"component kind is {c.kind!r}, expected k3"
-    if c.b1 != 0:
-        return f"component has b1 = {c.b1}, expected 0"
-    if c.b2 is not None and c.b2 != 22:
-        return f"component has b2 = {c.b2}, expected 22"
+    (b1,), (b2,), (kind,) = s.b1, s.b2, s.kinds
+    if kind not in (None, "k3"):
+        return f"component kind is {kind!r}, expected k3"
+    if b1 != 0:
+        return f"component has b1 = {b1}, expected 0"
+    if b2 is not None and b2 != 22:
+        return f"component has b2 = {b2}, expected 22"
     return None
 
 
 def _type2_failure(s: SNCSurface):
-    n = len(s.components)
+    n = len(s.component_ids)
     if n < 2:
         return "fewer than 2 components"
-    if s.triple_points:
+    if s.point_ids:
         return "has triple points"
-    for d in s.double_curves:
-        if d.genus != 1:
-            return f"double curve {d.id!r} has genus {d.genus}, expected 1"
-    degree = {c.id: 0 for c in s.components}
-    neighbors = {c.id: [] for c in s.components}
-    seen_pairs = set()
-    for d in s.double_curves:
-        a, b = d.components
-        pair = frozenset((a, b))
-        if pair in seen_pairs:
-            return f"components {a!r} and {b!r} meet in more than one curve (dual graph not a path)"
-        seen_pairs.add(pair)
-        degree[a] += 1
-        degree[b] += 1
+    for cid, g in zip(s.curve_ids, s.genus):
+        if g != 1:
+            return f"double curve {cid!r} has genus {g}, expected 1"
+    ends = s.dual_complex()._ends  # by component index
+    neighbors = [[] for _ in range(n)]
+    seen = set()
+    for k in range(0, len(ends), 2):
+        a, b = ends[k], ends[k + 1]
+        pair = a * n + b if a < b else b * n + a
+        if pair in seen:
+            return f"components {s.ends[k]!r} and {s.ends[k + 1]!r} meet in more than one curve (dual graph not a path)"
+        seen.add(pair)
         neighbors[a].append(b)
         neighbors[b].append(a)
-    if len(s.double_curves) != n - 1:
-        return f"{len(s.double_curves)} double curves, a chain of {n} needs {n - 1}"
-    ends = [cid for cid, deg in degree.items() if deg == 1]
-    if len(ends) != 2 or any(deg > 2 for deg in degree.values()):
+    if len(s.curve_ids) != n - 1:
+        return f"{len(s.curve_ids)} double curves, a chain of {n} needs {n - 1}"
+    tips = [v for v in range(n) if len(neighbors[v]) == 1]
+    if len(tips) != 2 or any(len(x) > 2 for x in neighbors):
         return "dual graph is not a path"
     # walk the path to check connectivity and collect the order
-    order = [ends[0]]
+    order = [tips[0]]
     prev = None
     while True:
         nxt = [x for x in neighbors[order[-1]] if x != prev]
@@ -266,23 +227,23 @@ def _type2_failure(s: SNCSurface):
         order.append(nxt[0])
     if len(order) != n:
         return "dual graph is not connected"
-    by_id = {c.id: c for c in s.components}
-    for cid in (order[0], order[-1]):
-        if not _is_rational(by_id[cid]):
-            return f"end component {cid!r} is not rational (b1 = 0)"
-    for cid in order[1:-1]:
-        if not _is_elliptic_ruled(by_id[cid]):
-            return f"interior component {cid!r} is not elliptic ruled (b1 = 2)"
+    ids, b1, kinds = s.component_ids, s.b1, s.kinds
+    for v in (order[0], order[-1]):
+        if not _is_rational(b1[v], kinds[v]):
+            return f"end component {ids[v]!r} is not rational (b1 = 0)"
+    for v in order[1:-1]:
+        if not _is_elliptic_ruled(b1[v], kinds[v]):
+            return f"interior component {ids[v]!r} is not elliptic ruled (b1 = 2)"
     return None
 
 
 def _type3_failure(s: SNCSurface):
-    for c in s.components:
-        if not _is_rational(c):
-            return f"component {c.id!r} is not rational (b1 = 0)"
-    for d in s.double_curves:
-        if d.genus != 0:
-            return f"double curve {d.id!r} has genus {d.genus}, expected 0"
+    for cid, b1, kind in zip(s.component_ids, s.b1, s.kinds):
+        if not _is_rational(b1, kind):
+            return f"component {cid!r} is not rational (b1 = 0)"
+    for cid, g in zip(s.curve_ids, s.genus):
+        if g != 0:
+            return f"double curve {cid!r} has genus {g}, expected 0"
     reason = sphere_failure(s.dual_complex())
     if reason is not None:
         return f"dual complex is not a sphere triangulation: {reason}"
@@ -295,7 +256,7 @@ def classify(s: SNCSurface) -> KulikovType:
     Raises NotKulikov when none fits, naming the first violated clause of
     each pattern.
     """
-    if not s.components:
+    if not s.component_ids:
         raise NotKulikov("empty fiber")
     failures = []
     for t, probe in (
@@ -310,21 +271,6 @@ def classify(s: SNCSurface) -> KulikovType:
     raise NotKulikov("; ".join(failures))
 
 
-def _strata_betti(s: SNCSurface):
-    # codim-0 stratum: disjoint smooth proper surfaces, so b3 = b1, b4 = b0
-    n = len(s.components)
-    b1_sum = sum(c.b1 for c in s.components)
-    b2_sum = sum(c.b2 for c in s.components)
-    curves = len(s.double_curves)
-    genus2_sum = 2 * sum(d.genus for d in s.double_curves)
-    points = len(s.triple_points)
-    return {
-        0: (n, b1_sum, b2_sum, b1_sum, n),
-        1: (curves, genus2_sum, curves, 0, 0),
-        2: (points, 0, 0, 0, 0),
-    }
-
-
 def e1_page(s: SNCSurface) -> dict:
     """First-page dimensions of the weight spectral sequence of the fiber.
 
@@ -332,10 +278,11 @@ def e1_page(s: SNCSurface) -> dict:
     the (q - 2i)-th Betti number of the codimension-(p + 2i) stratum; Tate
     twists do not change dimensions. Requires b2 on every component.
     """
-    for c in s.components:
-        if c.b2 is None:
-            raise MissingBetti(f"component {c.id!r} has no b2")
-    betti = _strata_betti(s)
+    if None in s.b2:
+        raise MissingBetti(f"component {s.component_ids[s.b2.index(None)]!r} has no b2")
+    # codim-0 stratum: disjoint smooth proper surfaces, so b3 = b1, b4 = b0
+    n, curves, b1 = len(s.component_ids), len(s.curve_ids), sum(s.b1)
+    betti = {0: (n, b1, sum(s.b2), b1, n), 1: (curves, 2 * sum(s.genus), curves, 0, 0), 2: (len(s.point_ids), 0, 0, 0, 0)}
     grid = {}
     for p in range(-2, 3):
         for q in range(0, 5):

@@ -15,6 +15,7 @@ import math
 from fractions import Fraction
 
 from k3degen.dualcomplex import ComplexAutomorphism, DeltaComplex, InvalidComplex
+from k3degen.sncfiber import SNCSurface
 
 
 # -- number theory ----------------------------------------------------------
@@ -515,6 +516,13 @@ def random_glued_complex(rng):
 
 
 # -- fibers from raw strata ----------------------------------------------------
+
+
+def fiber(components, double_curves=(), triple_points=()) -> SNCSurface:
+    """The fiber with these payload cells, read by SNCSurface.from_json_dict."""
+    return SNCSurface.from_json_dict(
+        {"components": list(components), "double_curves": list(double_curves), "triple_points": list(triple_points)}
+    )
 
 
 def fiber_triangle(point_id, curve_ids, curves):

@@ -20,15 +20,7 @@ from k3degen.degeneration import allowed_m_from_type, allowed_types_from_m, modu
 from k3degen.dualcomplex import orientation_action, sphere_failure
 from k3degen.elliptic import FiberConfiguration
 from k3degen.lattice import direct_sum, hyperbolic_plane, k3_lattice, rescale, root_lattice_a
-from k3degen.sncfiber import (
-    Component,
-    DoubleCurve,
-    KulikovType,
-    SNCSurface,
-    TriplePoint,
-    classify,
-    grw_dims,
-)
+from k3degen.sncfiber import KulikovType, classify, grw_dims
 
 import oracles
 
@@ -52,13 +44,13 @@ def test_criterion_01_grw_table():
 
 
 def test_criterion_02_tetrahedron_fixture():
-    comps = [Component(i, 0) for i in range(4)]
-    curves = [DoubleCurve((i, j), (i, j), 0) for i, j in itertools.combinations(range(4), 2)]
+    comps = [{"id": i, "b1": 0} for i in range(4)]
+    curves = [{"id": f"{i}{j}", "components": [i, j], "genus": 0} for i, j in itertools.combinations(range(4), 2)]
     points = [
-        TriplePoint((a, b, c), ((a, b), (b, c), (a, c)))
+        {"id": f"{a}{b}{c}", "curves": [f"{a}{b}", f"{b}{c}", f"{a}{c}"]}
         for a, b, c in itertools.combinations(range(4), 3)
     ]
-    surface = SNCSurface(comps, curves, points)
+    surface = oracles.fiber(comps, curves, points)
     assert classify(surface) is KulikovType.III
 
     complex_ = surface.dual_complex()

@@ -182,7 +182,13 @@ class TestClassifyFiber:
     def test_triple_point_must_be_an_object(self, capsys, tmp_path, point):
         payload = dict(TETRA_SURFACE, triple_points=[point])
         code, out, err = invoke(capsys, ["classify-fiber", payload_file(tmp_path, "fiber.json", payload)])
-        assert (code, out, err) == (1, "", f"error: triple_points entries must be JSON objects, got {point!r}\n")
+        assert (code, out, err) == (1, "", f"error: triple_points[0] must be a JSON object, got {point!r}\n")
+
+    def test_unhashable_curve_id_is_bad_input(self, capsys, tmp_path):
+        payload = json.loads(json.dumps(TETRA_SURFACE))
+        payload["triple_points"][0]["curves"][0] = {}
+        code, out, err = invoke(capsys, ["classify-fiber", payload_file(tmp_path, "fiber.json", payload)])
+        assert (code, out, err) == (1, "", "error: id {} is not a JSON string or integer\n")
 
     def test_deterministic_output(self, capsys, tmp_path):
         path = payload_file(tmp_path, "tetra.json", TETRA_SURFACE)
@@ -442,15 +448,15 @@ class TestIdArrays:
         ("classify-fiber", ("components",), {}, "components"),
         ("classify-fiber", ("double_curves",), "", "double_curves"),
         ("classify-fiber", ("triple_points",), {}, "triple_points"),
-        ("classify-fiber", ("double_curves", 0, "components"), "ab", "double curve components"),
-        ("classify-fiber", ("triple_points", 0, "curves"), "psq", "triple point curves"),
+        ("classify-fiber", ("double_curves", 0, "components"), "ab", "double_curves[0].components"),
+        ("classify-fiber", ("triple_points", 0, "curves"), "psq", "triple_points[0].curves"),
         ("orient", ("vertices",), "abcd", "vertices"),
         ("orient", ("edges",), {"id": "p", "v": ["a", "b"]}, "edges"),
         ("orient", ("triangles",), {"id": "A", "edges": list("psq"), "vertices": list("abc")}, "triangles"),
-        ("orient", ("edges", 0, "v"), "ab", "edge v"),
-        ("orient", ("triangles", 0, "vertices"), "abc", "triangle vertices"),
-        ("orient", ("triangles", 0, "edges"), "psq", "triangle edges"),
-        ("orient", ("triangles", 0, "signs"), "11-", "triangle signs"),
+        ("orient", ("edges", 0, "v"), "ab", "edges[0].v"),
+        ("orient", ("triangles", 0, "vertices"), "abc", "triangles[0].vertices"),
+        ("orient", ("triangles", 0, "edges"), "psq", "triangles[0].edges"),
+        ("orient", ("triangles", 0, "signs"), "11-", "triangles[0].signs"),
     ])
     def test_string_for_an_array_is_bad_input(self, capsys, tmp_path, command, where, value, field):
         payload = json.loads(json.dumps(SPELLED[command]))
@@ -462,6 +468,63 @@ class TestIdArrays:
         target[key] = value
         code, out, err = invoke(capsys, [command, payload_file(tmp_path, "string.json", payload)])
         assert (code, out, err) == (1, "", f"error: {field} must be a JSON array, got {value!r}\n")
+
+
+class TestCellShapes:
+    """A cell that is not a JSON object, or that misses a field, is named by section, index and field."""
+
+    @pytest.mark.parametrize("command, section, cell", [
+        ("classify-fiber", "components", "x"),
+        ("classify-fiber", "double_curves", None),
+        ("orient", "edges", 3),
+        ("orient", "triangles", ["A", "psq"]),
+    ])
+    def test_cell_must_be_an_object(self, capsys, tmp_path, command, section, cell):
+        payload = json.loads(json.dumps(SPELLED[command]))
+        payload[section][1] = cell
+        code, out, err = invoke(capsys, [command, payload_file(tmp_path, "cells.json", payload)])
+        assert (code, out, err) == (1, "", f"error: {section}[1] must be a JSON object, got {cell!r}\n")
+
+    @pytest.mark.parametrize("command, section, field", [
+        ("classify-fiber", "components", "id"),
+        ("classify-fiber", "components", "b1"),
+        ("classify-fiber", "double_curves", "id"),
+        ("classify-fiber", "double_curves", "components"),
+        ("classify-fiber", "double_curves", "genus"),
+        ("classify-fiber", "triple_points", "curves"),
+        ("orient", "edges", "id"),
+        ("orient", "edges", "v"),
+        ("orient", "triangles", "id"),
+        ("orient", "triangles", "vertices"),
+        ("orient", "triangles", "edges"),
+    ])
+    def test_missing_field_is_named(self, capsys, tmp_path, command, section, field):
+        payload = json.loads(json.dumps(SPELLED[command]))
+        del payload[section][1][field]
+        code, out, err = invoke(capsys, [command, payload_file(tmp_path, "cells.json", payload)])
+        assert (code, out, err) == (1, "", f"error: {section}[1] has no field {field!r}\n")
+
+    @pytest.mark.parametrize("command, payload, message", [
+        ("classify-fiber", [], "payload must be a JSON object, got []"),
+        ("classify-fiber", {"components": []}, "payload has no field 'double_curves'"),
+        ("orient", "abc", "payload must be a JSON object, got 'abc'"),
+        ("orient", {"vertices": [], "edges": []}, "payload has no field 'triangles'"),
+    ])
+    def test_payload_must_be_an_object_with_its_sections(self, capsys, tmp_path, command, payload, message):
+        code, out, err = invoke(capsys, [command, payload_file(tmp_path, "payload.json", payload)])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_faults_are_reported_cell_by_cell(self, capsys, tmp_path):
+        # an earlier cell's bad value comes before a later cell's missing field, within
+        # a section; and every component comes before any double curve
+        payload = json.loads(json.dumps(SPELLED["classify-fiber"]))
+        payload["components"][1]["b1"] = -1
+        del payload["components"][2]["id"]
+        payload["double_curves"][0] = "x"
+        for expected in ("component 'b': Betti numbers must be nonnegative", "components[2] has no field 'id'"):
+            code, out, err = invoke(capsys, ["classify-fiber", payload_file(tmp_path, "faults.json", payload)])
+            assert (code, out, err) == (1, "", f"error: {expected}\n")
+            payload["components"][1]["b1"] = 0
 
 
 class TestEulerCommand:
@@ -681,10 +744,11 @@ class TestFiberPaths:
         assert out.getvalue() == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
         fast = surface.dual_complex()
+        points = payload.get("triple_points", [])
         checked = DeltaComplex(
-            [c.id for c in surface.components],
-            {d.id: d.components for d in surface.double_curves},
-            {t.id: (verts, t.curves) for t, verts in zip(surface.triple_points, triangle_vertices)},
+            [c["id"] for c in payload["components"]],
+            {d["id"]: d["components"] for d in payload["double_curves"]},
+            {p.get("id", f"t{i}"): (verts, p["curves"]) for i, (p, verts) in enumerate(zip(points, triangle_vertices))},
         )
         for attr in ("vertices", "_eids", "_ends", "_tids", "_tedges", "_signs", "_sides"):
             assert getattr(fast, attr) == getattr(checked, attr), attr

@@ -7,13 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from k3degen.sncfiber import (
     KINDS,
-    Component,
-    DoubleCurve,
     KulikovType,
     MissingBetti,
     NotKulikov,
     SNCSurface,
-    TriplePoint,
     classify,
     crosscheck,
     e1_page,
@@ -24,26 +21,37 @@ import oracles
 
 
 def smooth_fiber():
-    return SNCSurface([Component("X", 0, 22, "k3")], [])
+    return oracles.fiber([{"id": "X", "b1": 0, "b2": 22, "kind": "k3"}])
+
+
+def curve(cid, a, b, genus):
+    return {"id": cid, "components": [a, b], "genus": genus}
+
+
+CHAIN = [curve("C12", "Z1", "Z2", 1), curve("C23", "Z2", "Z3", 1)]
 
 
 def chain_fiber(b2=(10, 2, 10)):
-    return SNCSurface(
-        [Component("Z1", 0, b2[0]), Component("Z2", 2, b2[1]), Component("Z3", 0, b2[2])],
-        [DoubleCurve("C12", ("Z1", "Z2"), 1), DoubleCurve("C23", ("Z2", "Z3"), 1)],
-    )
+    return oracles.fiber([{"id": f"Z{i + 1}", "b1": b1, "b2": b} for i, (b1, b) in enumerate(zip((0, 2, 0), b2))], CHAIN)
+
+
+def tetrahedral_payload(b2=7):
+    return {
+        "components": [{"id": i, "b1": 0, "b2": b2} for i in range(4)],
+        "double_curves": [curve(f"C{i}{j}", i, j, 0) for i, j in itertools.combinations(range(4), 2)],
+        "triple_points": [
+            {"id": f"P{a}{b}{c}", "curves": [f"C{a}{b}", f"C{b}{c}", f"C{a}{c}"]}
+            for a, b, c in itertools.combinations(range(4), 3)
+        ],
+    }
 
 
 def tetrahedral_fiber(b2=7):
-    comps = [Component(i, 0, b2) for i in range(4)]
-    curves = [
-        DoubleCurve(f"C{i}{j}", (i, j), 0) for i, j in itertools.combinations(range(4), 2)
-    ]
-    points = [
-        TriplePoint(f"P{a}{b}{c}", (f"C{a}{b}", f"C{b}{c}", f"C{a}{c}"))
-        for a, b, c in itertools.combinations(range(4), 3)
-    ]
-    return SNCSurface(comps, curves, points)
+    return SNCSurface.from_json_dict(tetrahedral_payload(b2))
+
+
+def rational(*ids):
+    return [{"id": x, "b1": 0} for x in ids]
 
 
 class TestValidation:
@@ -63,66 +71,49 @@ class TestValidation:
             SNCSurface.from_json_dict(payload)
 
     def test_constructors_take_any_hashable_id(self):
-        assert classify(SNCSurface([Component((0, "X"), 0, 22, "k3")], [])) is KulikovType.I
+        assert classify(SNCSurface([(0, "X")], [0], [22], ["k3"], [], [], [])) is KulikovType.I
 
     def test_duplicate_ids(self):
         with pytest.raises(ValueError, match="repeated component id"):
-            SNCSurface([Component("A", 0), Component("A", 0)], [])
-        comps = [Component("A", 0), Component("B", 0)]
+            oracles.fiber(rational("A", "A"))
         with pytest.raises(ValueError, match="repeated double curve id"):
-            SNCSurface(comps, [DoubleCurve("C", ("A", "B"), 1), DoubleCurve("C", ("A", "B"), 1)])
+            oracles.fiber(rational("A", "B"), [curve("C", "A", "B", 1), curve("C", "A", "B", 1)])
 
     def test_duplicate_triple_point_ids(self):
-        comps = [Component(x, 0) for x in "ABC"]
-        curves = [
-            DoubleCurve("ab", ("A", "B"), 0),
-            DoubleCurve("bc", ("B", "C"), 0),
-            DoubleCurve("ca", ("C", "A"), 0),
-        ]
-        points = [
-            TriplePoint("t", ("ab", "bc", "ca")),
-            TriplePoint("t", ("ab", "bc", "ca")),
-        ]
+        curves = [curve("ab", "A", "B", 0), curve("bc", "B", "C", 0), curve("ca", "C", "A", 0)]
+        points = [{"id": "t", "curves": ["ab", "bc", "ca"]}] * 2
         with pytest.raises(ValueError, match="triple point id"):
-            SNCSurface(comps, curves, points)
+            oracles.fiber(rational(*"ABC"), curves, points)
 
     def test_curve_needs_distinct_components(self):
         with pytest.raises(ValueError, match="must join two distinct components"):
-            DoubleCurve("C", ("A", "A"), 0)
+            oracles.fiber(rational("A"), [curve("C", "A", "A", 0)])
 
     def test_curve_unknown_component(self):
         with pytest.raises(ValueError, match="'C' references an unknown component"):
-            SNCSurface([Component("A", 0)], [DoubleCurve("C", ("A", "B"), 0)])
+            oracles.fiber(rational("A"), [curve("C", "A", "B", 0)])
 
     def test_triple_point_unknown_curve(self):
-        comps = [Component(x, 0) for x in "ABC"]
-        curves = [DoubleCurve("ab", ("A", "B"), 0), DoubleCurve("bc", ("B", "C"), 0)]
+        curves = [curve("ab", "A", "B", 0), curve("bc", "B", "C", 0)]
         with pytest.raises(ValueError, match="'t' references an unknown double curve"):
-            SNCSurface(comps, curves, [TriplePoint("t", ("ab", "bc", "ca"))])
+            oracles.fiber(rational(*"ABC"), curves, [{"id": "t", "curves": ["ab", "bc", "ca"]}])
 
     def test_triple_point_share_violations(self):
-        comps = [Component(x, 0) for x in "ABCD"]
-        curves = [
-            DoubleCurve("c1", ("A", "B"), 0),
-            DoubleCurve("c2", ("A", "B"), 0),
-            DoubleCurve("c3", ("B", "C"), 0),
-            DoubleCurve("c4", ("C", "D"), 0),
-        ]
+        curves = [curve("c1", "A", "B", 0), curve("c2", "A", "B", 0), curve("c3", "B", "C", 0), curve("c4", "C", "D", 0)]
         with pytest.raises(ValueError, match="curves 'c1' and 'c2' share 2 components"):
-            SNCSurface(comps, curves, [TriplePoint("t", ("c1", "c2", "c3"))])
+            oracles.fiber(rational(*"ABCD"), curves, [{"id": "t", "curves": ["c1", "c2", "c3"]}])
         with pytest.raises(ValueError, match="curves 'c4' and 'c1' share 0 components"):
-            SNCSurface(comps, curves, [TriplePoint("t", ("c1", "c3", "c4"))])
+            oracles.fiber(rational(*"ABCD"), curves, [{"id": "t", "curves": ["c1", "c3", "c4"]}])
 
     def test_triple_point_components_not_distinct(self):
         # ab, ac, ad pairwise share only A: a fan of curves, not a triangle
-        comps = [Component(x, 0) for x in "ABCD"]
-        curves = [DoubleCurve(f"a{x.lower()}", ("A", x), 0) for x in "BCD"]
+        curves = [curve(f"a{x.lower()}", "A", x, 0) for x in "BCD"]
         with pytest.raises(ValueError, match="'t': incident components are not distinct"):
-            SNCSurface(comps, curves, [TriplePoint("t", ("ab", "ac", "ad"))])
+            oracles.fiber(rational(*"ABCD"), curves, [{"id": "t", "curves": ["ab", "ac", "ad"]}])
 
     def test_component_kind_checked(self):
         with pytest.raises(ValueError, match="unknown kind 'abelian'"):
-            Component("A", 0, kind="abelian")
+            oracles.fiber([{"id": "A", "b1": 0, "kind": "abelian"}])
 
 
 @st.composite
@@ -298,17 +289,11 @@ class TestClassify:
         assert classify(chain_fiber()) is KulikovType.II
 
     def test_chain_without_kind_tags_or_b2(self):
-        s = SNCSurface(
-            [Component("Z1", 0), Component("Z2", 2), Component("Z3", 0)],
-            [DoubleCurve("C12", ("Z1", "Z2"), 1), DoubleCurve("C23", ("Z2", "Z3"), 1)],
-        )
+        s = oracles.fiber([{"id": "Z1", "b1": 0}, {"id": "Z2", "b1": 2}, {"id": "Z3", "b1": 0}], CHAIN)
         assert classify(s) is KulikovType.II
 
     def test_two_component_chain_both_rational(self):
-        s = SNCSurface(
-            [Component("Z1", 0), Component("Z2", 0)],
-            [DoubleCurve("C", ("Z1", "Z2"), 1)],
-        )
+        s = oracles.fiber(rational("Z1", "Z2"), [curve("C", "Z1", "Z2", 1)])
         assert classify(s) is KulikovType.II
 
     def test_tetrahedron(self):
@@ -316,89 +301,62 @@ class TestClassify:
 
     def test_empty_fiber(self):
         with pytest.raises(NotKulikov, match="empty fiber"):
-            classify(SNCSurface([], []))
+            classify(oracles.fiber([]))
 
     def test_invariant_under_list_permutation(self):
         rng = random.Random(41)
-        s = tetrahedral_fiber()
+        payload = tetrahedral_payload()
         for _ in range(10):
-            comps = list(s.components)
-            curves = list(s.double_curves)
-            points = list(s.triple_points)
-            rng.shuffle(comps)
-            rng.shuffle(curves)
-            rng.shuffle(points)
-            assert classify(SNCSurface(comps, curves, points)) is KulikovType.III
+            for cells in payload.values():
+                rng.shuffle(cells)
+            assert classify(SNCSurface.from_json_dict(payload)) is KulikovType.III
 
     def test_cycle_rejected(self):
         # a closed chain Z1-Z2-Z3-Z1 has one curve too many
-        s = SNCSurface(
-            [Component("Z1", 0), Component("Z2", 2), Component("Z3", 0)],
-            [
-                DoubleCurve("C12", ("Z1", "Z2"), 1),
-                DoubleCurve("C23", ("Z2", "Z3"), 1),
-                DoubleCurve("C13", ("Z1", "Z3"), 1),
-            ],
+        s = oracles.fiber(
+            [{"id": "Z1", "b1": 0}, {"id": "Z2", "b1": 2}, {"id": "Z3", "b1": 0}],
+            CHAIN + [curve("C13", "Z1", "Z3", 1)],
         )
         with pytest.raises(NotKulikov, match="chain of 3 needs 2"):
             classify(s)
 
     def test_star_rejected(self):
         # a central component meeting three others is not a path
-        s = SNCSurface(
-            [Component("Z0", 2), Component("Z1", 0), Component("Z2", 0), Component("Z3", 0)],
-            [
-                DoubleCurve("C1", ("Z0", "Z1"), 1),
-                DoubleCurve("C2", ("Z0", "Z2"), 1),
-                DoubleCurve("C3", ("Z0", "Z3"), 1),
-            ],
+        s = oracles.fiber(
+            [{"id": "Z0", "b1": 2}, *rational("Z1", "Z2", "Z3")],
+            [curve(f"C{i}", "Z0", f"Z{i}", 1) for i in (1, 2, 3)],
         )
         with pytest.raises(NotKulikov, match="not a path"):
             classify(s)
 
     def test_multi_edge_chain_rejected(self):
-        s = SNCSurface(
-            [Component("Z1", 0), Component("Z2", 0)],
-            [
-                DoubleCurve("C", ("Z1", "Z2"), 1),
-                DoubleCurve("D", ("Z1", "Z2"), 1),
-            ],
-        )
+        s = oracles.fiber(rational("Z1", "Z2"), [curve("C", "Z1", "Z2", 1), curve("D", "Z1", "Z2", 1)])
         with pytest.raises(NotKulikov, match="more than one curve"):
             classify(s)
 
     def test_wrong_genus_everywhere(self):
-        s = SNCSurface(
-            [Component("Z1", 0), Component("Z2", 0)],
-            [DoubleCurve("C", ("Z1", "Z2"), 2)],
-        )
+        s = oracles.fiber(rational("Z1", "Z2"), [curve("C", "Z1", "Z2", 2)])
         with pytest.raises(NotKulikov, match="genus"):
             classify(s)
 
     def test_interior_not_elliptic_ruled(self):
-        s = SNCSurface(
-            [Component("Z1", 0), Component("Z2", 4), Component("Z3", 0)],
-            [DoubleCurve("C12", ("Z1", "Z2"), 1), DoubleCurve("C23", ("Z2", "Z3"), 1)],
-        )
+        s = oracles.fiber([{"id": "Z1", "b1": 0}, {"id": "Z2", "b1": 4}, {"id": "Z3", "b1": 0}], CHAIN)
         with pytest.raises(NotKulikov, match="elliptic ruled"):
             classify(s)
 
     def test_kind_contradiction_rejected(self):
-        s = SNCSurface(
-            [Component("Z1", 0, kind="k3"), Component("Z2", 0)],
-            [DoubleCurve("C", ("Z1", "Z2"), 1)],
-        )
+        s = oracles.fiber([{"id": "Z1", "b1": 0, "kind": "k3"}, {"id": "Z2", "b1": 0}], [curve("C", "Z1", "Z2", 1)])
         with pytest.raises(NotKulikov):
             classify(s)
 
     def test_broken_sphere_rejected(self):
-        full = tetrahedral_fiber()
-        s = SNCSurface(full.components, full.double_curves, full.triple_points[:-1])
+        payload = tetrahedral_payload()
+        s = oracles.fiber(payload["components"], payload["double_curves"], payload["triple_points"][:-1])
         with pytest.raises(NotKulikov, match="sphere"):
             classify(s)
 
     def test_reason_names_all_three_patterns(self):
-        s = SNCSurface([Component("A", 5)], [])
+        s = oracles.fiber([{"id": "A", "b1": 5}])
         with pytest.raises(NotKulikov) as info:
             classify(s)
         message = str(info.value)
@@ -452,7 +410,7 @@ class TestE1Page:
         assert all(grid[(2, q)] == 0 for q in range(5))
 
     def test_missing_betti(self):
-        s = SNCSurface([Component("X", 0, None, "k3")], [])
+        s = oracles.fiber([{"id": "X", "b1": 0, "kind": "k3"}])
         with pytest.raises(MissingBetti):
             e1_page(s)
 
@@ -521,4 +479,4 @@ class TestSerialization:
             }
         )
         assert classify(s) is KulikovType.III  # the pillow sphere
-        assert len({t.id for t in s.triple_points}) == 2
+        assert s.point_ids == ["t0", "t1"]
