@@ -50,11 +50,14 @@ class SNCSurface:
         self.curve_ids, self.ends, self.genus = curve_ids, ends, genus
         self.point_ids, self.point_curves = point_ids, point_curves
 
-        comp_index, curve_index, point_index = (dict(zip(ids, range(len(ids)))) for ids in (component_ids, curve_ids, point_ids))
-        for index, ids, name in ((comp_index, component_ids, "component"), (curve_index, curve_ids, "double curve"),
-                                 (point_index, point_ids, "triple point")):
-            if len(index) != len(ids):
-                raise ValueError(f"repeated {name} id")
+        comp_index = dict(zip(component_ids, range(len(component_ids))))
+        if len(comp_index) != len(component_ids):
+            raise ValueError("repeated component id")
+        curve_index = dict(zip(curve_ids, range(len(curve_ids))))
+        if len(curve_index) != len(curve_ids):
+            raise ValueError("repeated double curve id")
+        if len(set(point_ids)) != len(point_ids):
+            raise ValueError("repeated triple point id")
 
         # curve k joins components iends[2k] and iends[2k + 1]; -1 marks an unknown one
         iends = [comp_index.get(x, -1) for x in ends]
@@ -101,7 +104,12 @@ class SNCSurface:
         ends, on = self.ends, self.point_curves
         return {
             "components": [
-                {"id": cid, "b1": b1, **({"b2": b2} if b2 is not None else {}), **({"kind": kind} if kind is not None else {})}
+                {
+                    "id": cid,
+                    "b1": b1,
+                    **({"b2": b2} if b2 is not None else {}),
+                    **({"kind": kind} if kind is not None else {}),
+                }
                 for cid, b1, b2, kind in zip(self.component_ids, self.b1, self.b2, self.kinds)
             ],
             "double_curves": [
@@ -205,7 +213,7 @@ def _type2_failure(s: SNCSurface):
     seen = set()
     for k in range(0, len(ends), 2):
         a, b = ends[k], ends[k + 1]
-        pair = a * n + b if a < b else b * n + a
+        pair = (a, b) if a < b else (b, a)
         if pair in seen:
             return f"components {s.ends[k]!r} and {s.ends[k + 1]!r} meet in more than one curve (dual graph not a path)"
         seen.add(pair)
@@ -282,7 +290,11 @@ def e1_page(s: SNCSurface) -> dict:
         raise MissingBetti(f"component {s.component_ids[s.b2.index(None)]!r} has no b2")
     # codim-0 stratum: disjoint smooth proper surfaces, so b3 = b1, b4 = b0
     n, curves, b1 = len(s.component_ids), len(s.curve_ids), sum(s.b1)
-    betti = {0: (n, b1, sum(s.b2), b1, n), 1: (curves, 2 * sum(s.genus), curves, 0, 0), 2: (len(s.point_ids), 0, 0, 0, 0)}
+    betti = {
+        0: (n, b1, sum(s.b2), b1, n),
+        1: (curves, 2 * sum(s.genus), curves, 0, 0),
+        2: (len(s.point_ids), 0, 0, 0, 0),
+    }
     grid = {}
     for p in range(-2, 3):
         for q in range(0, 5):
