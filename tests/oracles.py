@@ -548,11 +548,11 @@ def fiber_triangle(point_id, curve_ids, curves):
 
 
 def _rational(c) -> bool:
-    return c["b1"] == 0 and c.get("kind", "rational") == "rational"
+    return c["b1"] == 0 and c.get("kind") in (None, "rational")
 
 
 def _elliptic_ruled(c) -> bool:
-    return c["b1"] == 2 and c.get("kind", "elliptic_ruled") == "elliptic_ruled"
+    return c["b1"] == 2 and c.get("kind") in (None, "elliptic_ruled")
 
 
 def _type1_reason(comps, curves):
@@ -561,11 +561,11 @@ def _type1_reason(comps, curves):
     if curves:
         return "has double curves"
     (c,) = comps
-    if c.get("kind", "k3") != "k3":
+    if c.get("kind") not in (None, "k3"):
         return f"component kind is {c['kind']!r}, expected k3"
     if c["b1"] != 0:
         return f"component has b1 = {c['b1']}, expected 0"
-    if c.get("b2", 22) != 22:
+    if c.get("b2") not in (None, 22):
         return f"component has b2 = {c['b2']}, expected 22"
     return None
 

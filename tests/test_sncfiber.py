@@ -32,7 +32,8 @@ CHAIN = [curve("C12", "Z1", "Z2", 1), curve("C23", "Z2", "Z3", 1)]
 
 
 def chain_fiber(b2=(10, 2, 10)):
-    return oracles.fiber([{"id": f"Z{i + 1}", "b1": b1, "b2": b} for i, (b1, b) in enumerate(zip((0, 2, 0), b2))], CHAIN)
+    comps = [{"id": "Z1", "b1": 0, "b2": b2[0]}, {"id": "Z2", "b1": 2, "b2": b2[1]}, {"id": "Z3", "b1": 0, "b2": b2[2]}]
+    return oracles.fiber(comps, CHAIN)
 
 
 def tetrahedral_payload(b2=7):
