@@ -188,8 +188,9 @@ def near_kulikov_payloads(draw):
     """A fiber payload near one Kulikov pattern: a smooth K3; a chain, star, cycle,
     chain with a parallel curve, or chain beside a cycle; or the 7-vertex torus,
     the 6-vertex RP^2 or a Pachner sphere. Then up to two strata are perturbed
-    (b1, b2, kind, two components trading ids, a dropped triple point or curve, a
-    parallel curve, an isolated component) and each section is shuffled."""
+    (b1, b2 or kind, set, null or dropped; two components trading ids; a dropped
+    triple point or curve; a parallel curve; an isolated component) and each section
+    is shuffled."""
     shape = draw(st.sampled_from(
         ("smooth", "smooth", "chain", "chain", "chain", "star", "cycle", "multi", "split", "torus", "rp2", "sphere",
          "sphere", "wedge")
@@ -244,8 +245,9 @@ def near_kulikov_payloads(draw):
             a["id"], b["id"] = b["id"], a["id"]
         elif change in ("b1", "b2", "kind"):
             c = draw(st.sampled_from(comps))
-            value = draw(st.sampled_from({"b1": (0, 1, 2, 3), "b2": (20, 22, None), "kind": (*KINDS, None)}[change]))
-            if value is None:
+            # an explicit null b2 or kind reads as absent
+            value = draw(st.sampled_from({"b1": (0, 1, 2, 3), "b2": (20, 22, None, ...), "kind": (*KINDS, None, ...)}[change]))
+            if value is ...:
                 c.pop(change, None)
             else:
                 c[change] = value
@@ -264,9 +266,24 @@ def near_kulikov_payloads(draw):
     return {key: draw(st.permutations(cells)) for key, cells in payload.items()}
 
 
+def _fiber_payload(b1, curves=(), points=()):
+    return {
+        "components": [{"id": f"Z{i}", "b1": b} for i, b in enumerate(b1)],
+        "double_curves": [curve(f"C{k}", f"Z{a}", f"Z{b}", g) for k, (a, b, g) in enumerate(curves)],
+        "triple_points": [{"id": f"P{k}", "curves": [f"C{x}" for x in p]} for k, p in enumerate(points)],
+    }
+
+
 class TestKulikovVerdict:
     @settings(derandomize=True, deadline=None, max_examples=600)
     @given(near_kulikov_payloads())
+    # pairs of clauses that fail together, one pair per probe clause order
+    @example({"components": [{"id": "X", "b1": 2, "b2": 20, "kind": "rational"}], "double_curves": []})
+    @example({"components": [{"id": "X", "b1": 2, "b2": 20}], "double_curves": []})
+    @example(_fiber_payload((2, 0, 0), [(0, 1, 1), (1, 2, 1)]))  # both ends and the interior
+    @example(_fiber_payload((0, 0), [(0, 1, 1), (1, 0, 1)]))  # a parallel curve, the count
+    @example(_fiber_payload((0, 0, 0), [(0, 1, 1), (1, 2, 0), (2, 0, 0)], [(0, 1, 2)]))  # a triple point, genus
+    @example(_fiber_payload((2, 0, 0), [(0, 1, 1), (1, 2, 0), (2, 0, 0)], [(0, 1, 2)]))  # b1, genus, the sphere
     def test_classify_matches_raw_oracle(self, payload):
         try:
             expected = oracles.kulikov_verdict(payload)
