@@ -9,8 +9,6 @@ rational congruence diagonalization are plenty for these.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 def _bareiss(rows) -> tuple[int, int]:
     """Fraction-free elimination of an integer matrix: its rank over Q, and the
@@ -61,6 +59,8 @@ def symmetric_inertia(rows) -> tuple[int, int, int]:
     and column addition i += j, which stays exact in characteristic 0.
     Sylvester's law of inertia makes the sign counts well-defined.
     """
+    from fractions import Fraction  # on first use: a cold CLI start that needs no inertia skips it
+
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("inertia requires a square matrix")

@@ -11,8 +11,7 @@ Supersingular surfaces obey the divisibility m | p^{sigma0} + 1 instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .cyclotomic import CycloFactorization, euler_phi
 
 CHAR0 = "char0"
@@ -60,8 +59,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CharSetting:
+class CharSetting(Record):
     """The arithmetic setting an automorphism lives in.
 
     kind is one of char0, liftable, finite_height, finite_field; the last
@@ -70,20 +68,19 @@ class CharSetting:
     characteristic 2 as well.
     """
 
-    kind: str
-    p: int | None = None
+    __slots__ = ("kind", "p")
 
-    def __post_init__(self):
-        if self.kind == CHAR0:
-            if self.p is not None:
+    def __init__(self, kind: str, p: int | None = None):
+        if kind == CHAR0:
+            if p is not None:
                 raise ValueError("char0 takes no characteristic")
-            return
-        if self.kind not in (LIFTABLE, FINITE_HEIGHT, FINITE_FIELD):
-            raise ValueError(f"unknown setting kind {self.kind!r}")
-        if self.p is None or not is_prime(self.p):
-            raise ValueError(f"setting {self.kind!r} needs a prime characteristic, got {self.p!r}")
-        if self.kind in (FINITE_HEIGHT, FINITE_FIELD) and self.p == 2:
-            raise ValueError(f"setting {self.kind!r} requires p > 2")
+        elif kind not in (LIFTABLE, FINITE_HEIGHT, FINITE_FIELD):
+            raise ValueError(f"unknown setting kind {kind!r}")
+        elif p is None or not is_prime(p):
+            raise ValueError(f"setting {kind!r} needs a prime characteristic, got {p!r}")
+        elif kind in (FINITE_HEIGHT, FINITE_FIELD) and p == 2:
+            raise ValueError(f"setting {kind!r} requires p > 2")
+        self._set(kind, p)
 
 
 def _power_candidates(m: int, p: int, t_rank: int):

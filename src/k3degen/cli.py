@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import sys
@@ -55,11 +56,15 @@ def _finite_float(text: str) -> float:
 
 
 def _read_payload(path: str):
-    """The JSON payload at path (- for stdin); NaN, Infinity and overflowing numbers are rejected."""
-    if path == "-":
-        return json.load(sys.stdin, parse_constant=_reject_constant, parse_float=_finite_float)
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle, parse_constant=_reject_constant, parse_float=_finite_float)
+    """The JSON payload at path (- for stdin); NaN, Infinity, overflowing numbers and
+    nesting deeper than the decoder's recursion limit are rejected."""
+    try:
+        if path == "-":
+            return json.load(sys.stdin, parse_constant=_reject_constant, parse_float=_finite_float)
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle, parse_constant=_reject_constant, parse_float=_finite_float)
+    except RecursionError:
+        raise ValueError("payload nests too deeply") from None
 
 
 _CONTAINERS = frozenset((dict, list, tuple))
@@ -98,8 +103,9 @@ def _pretty(obj, depth: int = 0) -> str:
 
 
 def _echo_surface(surface: SNCSurface) -> str:
-    """Exactly _pretty(surface.to_json_dict(), 1), from one template per cell. from_json_dict
-    lets through only str and int ids and int numbers, so each scalar is one encoder call."""
+    """The fiber as read, exactly as _pretty prints its payload dict at depth 1, from one
+    template per cell. from_json_dict lets through only str and int ids and int numbers,
+    so each scalar is one encoder call."""
     text = {
         x: encode_basestring_ascii(x) if type(x) is str else int.__repr__(x)
         for x in (*surface.component_ids, *surface.curve_ids, *surface.point_ids)
@@ -399,6 +405,9 @@ def run(argv) -> int:
 
 
 def main() -> None:
+    # One command, then exit: with the imported objects frozen, neither a collection
+    # during the command nor the one at interpreter exit walks them.
+    gc.freeze()
     sys.exit(run(sys.argv[1:]))
 
 

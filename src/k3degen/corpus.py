@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 from . import autorders, degeneration, lattice
+from ._record import Record
 from .cyclotomic import CycloFactorization, bounded_orders, factor_into_cyclotomics
 from .dualcomplex import ComplexAutomorphism, DeltaComplex, orientation_action
 from .elliptic import FiberConfiguration
@@ -23,11 +23,11 @@ from .sncfiber import KulikovType, SNCSurface, crosscheck, grw_dims
 ENV_VAR = "K3DEGEN_FIXTURES"
 
 
-@dataclass(frozen=True)
-class FixtureResult:
-    name: str
-    passed: bool
-    detail: str
+class FixtureResult(Record):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str):
+        self._set(name, passed, detail)
 
 
 def default_corpus_dir() -> Path:

@@ -11,8 +11,8 @@ reduction) is never excluded.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
+from ._record import Record
 from .autorders import is_prime
 from .cyclotomic import bounded_orders, euler_phi
 from .sncfiber import KulikovType
@@ -53,10 +53,11 @@ def allowed_types_from_m(m: int) -> frozenset[KulikovType]:
     return frozenset({KulikovType.I})
 
 
-@dataclass(frozen=True)
-class FieldConstraint:
-    allowed: frozenset
-    conditional: bool
+class FieldConstraint(Record):
+    __slots__ = ("allowed", "conditional")
+
+    def __init__(self, allowed: frozenset, conditional: bool):
+        self._set(allowed, conditional)
 
 
 def allowed_types_from_field(e: HodgeFieldClass) -> FieldConstraint:
@@ -108,14 +109,15 @@ def allowed_types_from_height(h) -> frozenset[KulikovType]:
     return frozenset({KulikovType.I})
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(Record):
     """Combined verdict: the intersection of the applicable constraints."""
 
-    allowed: frozenset
-    conditional: bool = False
-    reasons: tuple = ()
-    outside_hypotheses: bool = False
+    __slots__ = ("allowed", "conditional", "reasons", "outside_hypotheses")
+
+    def __init__(
+        self, allowed: frozenset, conditional: bool = False, reasons: tuple = (), outside_hypotheses: bool = False
+    ):
+        self._set(allowed, conditional, reasons, outside_hypotheses)
 
     def to_json_dict(self) -> dict:
         if self.outside_hypotheses:

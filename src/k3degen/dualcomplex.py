@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from fractions import Fraction
 
 from . import _linalg
 
@@ -155,6 +154,8 @@ class DeltaComplex:
 
         checked_edges = {}
         for eid, pair in dict(edges).items():
+            if len(pair) != 2:
+                raise InvalidComplex(f"edge {eid!r}: v must list 2 vertices, got {len(pair)}")
             a, b = pair
             if a not in vertex_index or b not in vertex_index:
                 raise InvalidComplex(f"edge {eid!r} references an unknown vertex")
@@ -305,8 +306,15 @@ class DeltaComplex:
                 parent[next(iter(terms))] = zero
             elif len(terms) == 2:  # a z[r1] + b z[r2] = 0
                 (r1, a), (r2, b) = terms.items()
-                # an int where it divides (always, on a surface): ints multiply faster
-                parent[r2], q[r2] = r1, (-a // b if a % b == 0 else Fraction(-a, b))
+                parent[r2] = r1
+                # an int where it divides (always, on a surface): ints multiply faster,
+                # and a cold start on a surface never imports fractions
+                if a % b == 0:
+                    q[r2] = -a // b
+                else:
+                    from fractions import Fraction
+
+                    q[r2] = Fraction(-a, b)
             elif terms:
                 residual.append(sides)
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
+
+from ._record import Record
 
 
 class ImpossibleConfiguration(Exception):
@@ -24,26 +25,25 @@ _FIXED_COMPONENTS = {"II": 1, "III": 2, "IV": 3, "II*": 9, "III*": 8, "IV*": 7}
 _FIBER_RE = re.compile(r"^I(\d+)(\*?)$")
 
 
-@dataclass(frozen=True)
-class KodairaFiber:
+class KodairaFiber(Record):
     """One singular fiber: kind "I" or "I*" with an index n, or one of the
     fixed kinds II, III, IV, II*, III*, IV*."""
 
-    kind: str
-    n: int | None = None
+    __slots__ = ("kind", "n")
 
-    def __post_init__(self):
-        if self.kind == "I":
-            if self.n is None or self.n < 1:
+    def __init__(self, kind: str, n: int | None = None):
+        if kind == "I":
+            if n is None or n < 1:
                 raise ValueError("I(n) requires n >= 1")
-        elif self.kind == "I*":
-            if self.n is None or self.n < 0:
+        elif kind == "I*":
+            if n is None or n < 0:
                 raise ValueError("I*(n) requires n >= 0")
-        elif self.kind in _FIXED_EULER:
-            if self.n is not None:
-                raise ValueError(f"{self.kind} takes no index")
+        elif kind in _FIXED_EULER:
+            if n is not None:
+                raise ValueError(f"{kind} takes no index")
         else:
-            raise ValueError(f"unknown Kodaira fiber kind {self.kind!r}")
+            raise ValueError(f"unknown Kodaira fiber kind {kind!r}")
+        self._set(kind, n)
 
     @classmethod
     def parse(cls, label: str) -> "KodairaFiber":

@@ -100,25 +100,6 @@ class SNCSurface:
 
     # -- serialization -----------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        ends, on = self.ends, self.point_curves
-        return {
-            "components": [
-                {
-                    "id": cid,
-                    "b1": b1,
-                    **({"b2": b2} if b2 is not None else {}),
-                    **({"kind": kind} if kind is not None else {}),
-                }
-                for cid, b1, b2, kind in zip(self.component_ids, self.b1, self.b2, self.kinds)
-            ],
-            "double_curves": [
-                {"id": cid, "components": ends[2 * k:2 * k + 2], "genus": g}
-                for k, (cid, g) in enumerate(zip(self.curve_ids, self.genus))
-            ],
-            "triple_points": [{"id": pid, "curves": on[3 * k:3 * k + 3]} for k, pid in enumerate(self.point_ids)],
-        }
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "SNCSurface":
         (ids, b1, b2, kinds), fault = _read(ValueError, data, "components", ("id", "b1", "b2?", "kind?"))

@@ -525,6 +525,23 @@ def fiber(components, double_curves=(), triple_points=()) -> SNCSurface:
     )
 
 
+def surface_json(s: SNCSurface) -> dict:
+    """The payload dict of a fiber, read back from its columns: what
+    SNCSurface.from_json_dict reads, and what classify-fiber echoes."""
+    ends, on = s.ends, s.point_curves
+    return {
+        "components": [
+            {"id": cid, "b1": b1, **({"b2": b2} if b2 is not None else {}), **({"kind": kind} if kind is not None else {})}
+            for cid, b1, b2, kind in zip(s.component_ids, s.b1, s.b2, s.kinds)
+        ],
+        "double_curves": [
+            {"id": cid, "components": ends[2 * k:2 * k + 2], "genus": g}
+            for k, (cid, g) in enumerate(zip(s.curve_ids, s.genus))
+        ],
+        "triple_points": [{"id": pid, "curves": on[3 * k:3 * k + 3]} for k, pid in enumerate(s.point_ids)],
+    }
+
+
 def fiber_triangle(point_id, curve_ids, curves):
     """The dual triangle of a triple point, where curves maps each double
     curve id to its (first, second) component: (vertices, signs), side i

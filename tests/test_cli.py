@@ -117,6 +117,15 @@ class TestClassifyFiber:
             monkeypatch.setattr("sys.stdin", io.StringIO(payload))
             assert invoke(capsys, ["classify-fiber", "-"])[:2] == (1, "")
 
+    @pytest.mark.parametrize("command", ["classify-fiber", "orient", "euler"])
+    def test_deep_nesting_is_bad_input(self, capsys, tmp_path, monkeypatch, command):
+        text = "[" * 100000 + "]" * 100000
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        assert invoke(capsys, [command, str(path)]) == (1, "", "error: payload nests too deeply\n")
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert invoke(capsys, [command, "-"]) == (1, "", "error: payload nests too deeply\n")
+
     def test_awkward_ids_round_trip(self, capsys, tmp_path):
         # brackets, quotes, a backslash, a newline and non-ASCII in every id
         tag = lambda x: x + '[]{}",:\\\n\u00e9'
@@ -135,7 +144,7 @@ class TestClassifyFiber:
         report = json.loads(out)
         assert report["result"]["type"] == "III"
         assert report["input"] == surface
-        assert SNCSurface.from_json_dict(report["input"]).to_json_dict() == report["input"]
+        assert oracles.surface_json(SNCSurface.from_json_dict(report["input"])) == report["input"]
 
     def test_aliasing_ids_are_bad_input(self, capsys, tmp_path):
         # JSON true and 2.0 equal the ids 1 and 2 in Python, and would make this chain Type II
@@ -514,6 +523,13 @@ class TestCellShapes:
         code, out, err = invoke(capsys, [command, payload_file(tmp_path, "payload.json", payload)])
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("ends", [["a"], ["a", "b", "c"]])
+    def test_edge_needs_two_vertices(self, capsys, tmp_path, ends):
+        payload = json.loads(json.dumps(SPELLED["orient"]))
+        payload["edges"][1]["v"] = ends
+        code, out, err = invoke(capsys, ["orient", payload_file(tmp_path, "ends.json", payload)])
+        assert (code, out, err) == (1, "", f"error: edge 'q': v must list 2 vertices, got {len(ends)}\n")
+
     def test_faults_are_reported_cell_by_cell(self, capsys, tmp_path):
         # an earlier cell's bad value comes before a later cell's missing field, within
         # a section; and every component comes before any double curve
@@ -635,6 +651,27 @@ class TestFixturesCommand:
         assert invoke(capsys, ["fixtures", "--dir", str(tmp_path / "nope")])[0] == 1
 
 
+class TestColdStart:
+    def test_import_loads_no_dataclasses_or_fractions(self):
+        # what importing the CLI adds to a fresh interpreter; fractions comes with the first inertia
+        script = (
+            "import gc, json, sys\n"
+            "before = set(sys.modules)\n"
+            "from k3degen.cli import run\n"
+            "added = set(sys.modules) - before\n"
+            "code = run(['lattice', 'K3'])\n"
+            "cold = sorted(added & {'dataclasses', 'inspect', 'fractions', 'decimal'})\n"
+            "print(json.dumps([cold, code, 'fractions' in sys.modules, gc.get_freeze_count()]), file=sys.stderr)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+        result = json.loads(proc.stdout)["result"]
+        assert (result["rank"], result["det"], result["signature"], result["even"]) == (22, -1, [3, 19, 0], True)
+        # run never freezes the collector: only main, which exits after one command, does
+        assert json.loads(proc.stderr.splitlines()[-1]) == [[], 0, True, 0]
+
+
 class TestDispatch:
     def test_unknown_subcommand(self, capsys):
         assert invoke(capsys, ["no-such-command"])[0] == 1
@@ -740,7 +777,7 @@ class TestFiberPaths:
         assert code in (0, 2)
         report = json.loads(out.getvalue())
         surface = SNCSurface.from_json_dict(payload)
-        assert report["input"] == surface.to_json_dict()
+        assert report["input"] == oracles.surface_json(surface)
         assert out.getvalue() == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
         fast = surface.dual_complex()

@@ -8,6 +8,11 @@ its own body and in `k3degen/__init__.py`, or when a string constant in
 `bench/` names it, because the benchmark's tracer binds methods by string.
 A name that only tests call fails here: delete it, or give it a caller.
 
+Names are matched bare, not by class. A method is counted as called when
+any reference uses its name, so `DeltaComplex.to_json_dict` called from
+`cli` also covers a `to_json_dict` on another class that nothing calls; such
+a method has to be found by searching for its class's uses.
+
 Operator dunders are invisible to the scan. `p * q` names no `__mul__`, and
 every dunder starts with an underscore, so it is never listed as public;
 an operator only tests use has to be found by reading.
