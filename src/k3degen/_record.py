@@ -6,26 +6,31 @@ class and equal fields, never equal to a tuple; they hash by their fields,
 and repr shows them as Class(field=value, ...).
 """
 
+from operator import attrgetter
+
+_setattr = object.__setattr__
+
 
 class Record:
     __slots__ = ()
 
+    def __init_subclass__(cls):
+        # the field values, read in C: a KodairaFiber is hashed on every Counter update
+        cls._fields = property(attrgetter(*cls.__slots__))
+
     def _set(self, *values):
         for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _fields(self) -> tuple:
-        return tuple(map(self.__getattribute__, self.__slots__))
+            _setattr(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __eq__(self, other):
-        return type(other) is type(self) and self._fields() == other._fields()
+        return type(other) is type(self) and self._fields == other._fields
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(self._fields)
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
