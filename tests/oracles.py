@@ -531,7 +531,12 @@ def surface_json(s: SNCSurface) -> dict:
     ends, on = s.ends, s.point_curves
     return {
         "components": [
-            {"id": cid, "b1": b1, **({"b2": b2} if b2 is not None else {}), **({"kind": kind} if kind is not None else {})}
+            {
+                "id": cid,
+                "b1": b1,
+                **({"b2": b2} if b2 is not None else {}),
+                **({"kind": kind} if kind is not None else {}),
+            }
             for cid, b1, b2, kind in zip(s.component_ids, s.b1, s.b2, s.kinds)
         ],
         "double_curves": [
