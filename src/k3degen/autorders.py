@@ -155,19 +155,12 @@ def wild_prime_powers(max_t: int) -> list[int]:
     """All prime powers p^e (e >= 1) with euler_phi(p^e) <= max_t, sorted.
 
     These are the prime-power twists that can enter the cyclotomic index in
-    positive characteristic, bounded by the degree available in H^2.
+    positive characteristic, bounded by the degree available in H^2. Every
+    such p has p - 1 <= max_t; max_t <= 10**5 keeps the prime scan bounded.
     """
-    if max_t < 1:
-        raise ValueError("max_t must be positive")
-    out = []
-    for p in range(2, max_t + 2):
-        if not is_prime(p):
-            continue
-        q = p
-        while euler_phi(q) <= max_t:
-            out.append(q)
-            q *= p
-    return sorted(out)
+    if not 1 <= max_t <= 10**5:
+        raise ValueError(f"max_t must lie in 1..100000, got {max_t}")
+    return sorted(q for p in range(2, max_t + 2) if is_prime(p) for q, _ in _power_candidates(1, p, max_t)[1:])
 
 
 def nygaard_sigma0(m: int, p: int) -> list[int]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-from importlib import resources
 from pathlib import Path
 
 from . import autorders, degeneration, lattice
@@ -34,6 +33,7 @@ def default_corpus_dir() -> Path:
     override = os.environ.get(ENV_VAR)
     if override:
         return Path(override)
+    from importlib import resources  # on first use: only fixtures needs it, and it loads tempfile, zipfile, typing
     return Path(str(resources.files("k3degen") / "fixtures"))
 
 

@@ -6,22 +6,25 @@ of prime-order non-symplectic pairs.
 The engine encodes theorem statements, not proofs: every constraint is a
 subset of {I, II, III}, and independent constraints intersect. Type I (good
 reduction) is never excluded.
+
+The order constraint is derived from grw_dims: the automorphism acts
+rationally on each Gr_W piece of the limit cohomology, and the limit 2-form
+lies in the top nonzero one (Morrison 1984; Friedman-Scattone 1986), so all
+phi(m) conjugates of its eigenvalue zeta_m fit there. The field and height
+constraints are stated tables.
 """
 
 from __future__ import annotations
 
 import enum
+from functools import lru_cache
 
 from ._record import Record
 from .autorders import is_prime
-from .cyclotomic import bounded_orders, euler_phi
-from .sncfiber import KulikovType
+from .cyclotomic import bounded_orders
+from .sncfiber import KulikovType, grw_dims
 
 ALL_TYPES = frozenset(KulikovType)
-
-# orders whose cyclotomic field is Q or imaginary quadratic
-_ORDERS_Q_OR_IMAG_QUADRATIC = frozenset({1, 2, 3, 4, 6})
-_ORDERS_Q = frozenset({1, 2})
 
 
 class HodgeFieldClass(enum.Enum):
@@ -41,16 +44,13 @@ INFINITE_HEIGHT = "infinite"
 def allowed_types_from_m(m: int) -> frozenset[KulikovType]:
     """Degeneration types compatible with 2-form action of order m.
 
-    Orders outside {1,2,3,4,6} force good reduction (Type I); orders 3, 4, 6
-    still rule out Type III; orders 1 and 2 allow everything.
+    Type I always; every other type t when m is in allowed_m_from_type(t).
+    That gives {I, II, III} for m in {1, 2}, {I, II} for m in {3, 4, 6},
+    and {I} for every other m.
     """
     if m < 1:
         raise ValueError("m must be positive")
-    if m in _ORDERS_Q:
-        return ALL_TYPES
-    if m in _ORDERS_Q_OR_IMAG_QUADRATIC:
-        return frozenset({KulikovType.I, KulikovType.II})
-    return frozenset({KulikovType.I})
+    return frozenset(t for t in KulikovType if t is KulikovType.I or m in allowed_m_from_type(t))
 
 
 class FieldConstraint(Record):
@@ -78,18 +78,17 @@ def allowed_types_from_field(e: HodgeFieldClass) -> FieldConstraint:
     raise ValueError(f"unknown field class {e!r}")
 
 
+@lru_cache(maxsize=None)
 def allowed_m_from_type(t: KulikovType) -> frozenset[int]:
     """Orders m that can occur over a special fiber of the given type.
 
-    Type III forces the action on the graded piece into Q^*, so m <= 2;
-    Type II lands in an imaginary quadratic field, so m in {1,2,3,4,6};
-    Type I only obeys the global bound phi(m) <= 20.
+    The phi(m) conjugates of the 2-form's eigenvalue fill at most the top
+    nonzero piece of grw_dims(t), so phi(m) <= d_top, capped by the global
+    bound phi(m) <= 20: Type III (d_4 = 1) gives {1, 2}, Type II (d_3 = 2)
+    gives {1, 2, 3, 4, 6}, and Type I (d_2 = 22) the 20 bound alone.
     """
-    if t is KulikovType.III:
-        return _ORDERS_Q
-    if t is KulikovType.II:
-        return _ORDERS_Q_OR_IMAG_QUADRATIC
-    return frozenset(bounded_orders(20))
+    d_top = next(d for d in reversed(grw_dims(t)) if d)
+    return frozenset(bounded_orders(min(d_top, 20)))
 
 
 def allowed_types_from_height(h) -> frozenset[KulikovType]:

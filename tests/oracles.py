@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from k3degen.dualcomplex import ComplexAutomorphism, DeltaComplex, InvalidComplex
-from k3degen.sncfiber import SNCSurface
+from k3degen.sncfiber import KulikovType, SNCSurface
 
 
 # -- number theory ----------------------------------------------------------
@@ -102,6 +102,29 @@ def cyclo_oracle(m: int):
         elif mu == -1:
             den = poly_mul(den, x_pow_minus_one(d))
     return poly_div_exact(num, den)
+
+
+# -- the order/type theorem as literal tables -----------------------------------
+
+# orders whose cyclotomic field is Q, or Q or imaginary quadratic
+ORDERS_Q = frozenset({1, 2})
+ORDERS_Q_OR_IMAG_QUADRATIC = frozenset({1, 2, 3, 4, 6})
+# every m with phi(m) <= 20; phi(m) >= sqrt(m / 2) puts them all below 2 * 20**2
+ORDERS_PHI_20 = frozenset(m for m in range(1, 2 * 20**2 + 1) if naive_phi(m) <= 20)
+
+
+def orders_from_type_table(t: KulikovType) -> frozenset:
+    """The orders a type allows, as stated: Q^* for III, Q or imaginary quadratic for II."""
+    return {KulikovType.III: ORDERS_Q, KulikovType.II: ORDERS_Q_OR_IMAG_QUADRATIC}.get(t, ORDERS_PHI_20)
+
+
+def types_from_order_table(m: int) -> frozenset:
+    """The types an order allows, as stated: {1,2} allow all, {3,4,6} rule out III, the rest force I."""
+    if m in ORDERS_Q:
+        return frozenset(KulikovType)
+    if m in ORDERS_Q_OR_IMAG_QUADRATIC:
+        return frozenset({KulikovType.I, KulikovType.II})
+    return frozenset({KulikovType.I})
 
 
 # -- exact matrix oracles -----------------------------------------------------

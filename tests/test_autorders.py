@@ -184,6 +184,11 @@ class TestWildPrimePowers:
     def test_bound_1(self):
         assert wild_prime_powers(1) == [2]
 
+    def test_bound_outside_range(self):
+        for bound in (0, -3, 10**5 + 1):
+            with pytest.raises(ValueError, match=r"1\.\.100000"):
+                wild_prime_powers(bound)
+
     def test_bound_22_adds_23(self):
         assert set(wild_prime_powers(22)) == set(wild_prime_powers(21)) | {23}
 
@@ -203,9 +208,10 @@ class TestWildPrimePowers:
                     return q == 1, p
             return False, None
 
-        for bound in (1, 5, 21, 30):
+        for bound in (1, 5, 21, 30, 101, 257):
             expected = []
-            for q in range(2, 4 * bound * bound + 4):
+            # a prime power q = p^e has phi(q) = q (1 - 1/p) >= q / 2
+            for q in range(2, 2 * bound + 2):
                 ok, _ = is_prime_power(q)
                 if ok and oracles.naive_phi(q) <= bound:
                     expected.append(q)

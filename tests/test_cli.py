@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from k3degen import corpus
 from k3degen.cli import _pretty, run
+from k3degen.degeneration import HodgeFieldClass
 from k3degen.dualcomplex import DeltaComplex
 from k3degen.sncfiber import KINDS, SNCSurface
 from test_dualcomplex import generated_complexes
@@ -20,6 +22,12 @@ import oracles
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _src_env():
+    """The environment with src first on PYTHONPATH, for a child interpreter."""
+    return {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
 
 
 def _no_constant(name):
@@ -170,11 +178,9 @@ class TestClassifyFiber:
             ],
         }
         path = payload_file(tmp_path, "chain.json", surface)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
         proc = subprocess.Popen(
             [sys.executable, "-m", "k3degen.cli", "classify-fiber", path],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env(),
         )
         try:
             assert proc.stdout.readline() == b"{\n"
@@ -292,6 +298,18 @@ class TestCharpolyAndOrders:
     def test_orders_phi_bound_over_cap_is_bad_input(self, capsys):
         code, out, err = invoke(capsys, ["orders", "--phi-bound", "100001"])
         assert code == 1 and out == "" and "100000" in err
+
+    def test_orders_max_t_cap(self):
+        # a fresh process each, so the answer and the rejection are both timed end to end
+        def orders(max_t):
+            argv = [sys.executable, "-m", "k3degen.cli", "orders", "--max-t", max_t]
+            return subprocess.run(argv, capture_output=True, text=True, env=_src_env(), timeout=10)
+
+        proc = orders("100000")
+        assert proc.returncode == 0
+        assert len(json.loads(proc.stdout)["result"]["prime_powers"]) == 9701
+        proc = orders("100001")
+        assert proc.returncode == 1 and proc.stdout == "" and "1..100000" in proc.stderr
 
     def test_ss_check(self, capsys):
         code, out, _ = invoke(capsys, ["ss-check", "--m", "42", "--p", "2"])
@@ -663,13 +681,29 @@ class TestColdStart:
             "cold = sorted(added & {'dataclasses', 'inspect', 'fractions', 'decimal'})\n"
             "print(json.dumps([cold, code, 'fractions' in sys.modules, gc.get_freeze_count()]), file=sys.stderr)\n"
         )
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=_src_env(), timeout=60
+        )
         result = json.loads(proc.stdout)["result"]
         assert (result["rank"], result["det"], result["signature"], result["even"]) == (22, -1, [3, 19, 0], True)
         # run never freezes the collector: only main, which exits after one command, does
         assert json.loads(proc.stderr.splitlines()[-1]) == [[], 0, True, 0]
+
+    def test_import_without_site_loads_no_importlib_resources(self):
+        # -S keeps site from preloading importlib.resources; -I ignores PYTHONPATH, so the child adds src itself
+        script = (
+            "import json, sys\n"
+            f"sys.path.insert(0, {SRC!r})\n"
+            "before = set(sys.modules)\n"
+            "from k3degen.cli import run\n"
+            "loaded = 'importlib.resources' in set(sys.modules) - before\n"
+            "code = run(['fixtures'])\n"
+            "print(json.dumps([loaded, code]), file=sys.stderr)\n"
+        )
+        proc = subprocess.run([sys.executable, "-I", "-S", "-c", script], capture_output=True, text=True, timeout=60)
+        result = json.loads(proc.stdout)["result"]
+        assert (result["passed"], result["total"]) == (12, 12)
+        assert json.loads(proc.stderr.splitlines()[-1]) == [False, 0]
 
 
 class TestDispatch:
@@ -812,3 +846,43 @@ class TestPachnerFibers:
             assert run(["classify-fiber", str(path)]) == 0
         result = json.loads(out.getvalue())["result"]
         assert result["type"] == "III" and result["crosscheck"]["all_passed"]
+
+
+# argv values: huge, negative and zero ints, the caps and their neighbours, and junk text
+_ARG_VALUES = (
+    st.integers().map(str)
+    | st.integers(-(10**40), 10**40).map(str)
+    | st.sampled_from([0, 1, 2, 10**5, 10**5 + 1, 10**30 + 1, 3317044064679887385961981]).map(str)
+    | st.sampled_from(["inf", "infinite", "1e5", "0x10", " 7 ", "1_000", "-1", "-", "", "--m"])
+    | st.sampled_from([c.value for c in HodgeFieldClass])
+    | st.text(max_size=8)
+)
+_COMMANDS = {"allowed-types": ("--m", "--field", "--height", "--char"), "orders": ("--max-t", "--phi-bound")}
+
+
+@st.composite
+def fuzzed_argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = [command]
+    for option in draw(st.lists(st.sampled_from(_COMMANDS[command]), max_size=4)):
+        argv += [option, draw(_ARG_VALUES)]
+    return argv
+
+
+class TestFuzzedArgv:
+    """Every argv gets an answer or a rejection, with no traceback, in bounded time."""
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(fuzzed_argv())
+    @example(["orders", "--max-t", "100000"])
+    @example(["orders", "--phi-bound", "100000"])
+    @example(["allowed-types", "--m", str(10**30 + 1), "--height", "infinite"])
+    @example(["allowed-types", "--m", "4", "--char", "3317044064679887385961981"])
+    def test_answer_or_reject(self, argv):
+        err = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert time.perf_counter() - start < 2, argv
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()

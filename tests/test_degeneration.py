@@ -16,6 +16,8 @@ from k3degen.degeneration import (
 )
 from k3degen.sncfiber import KulikovType
 
+import oracles
+
 I, II, III = KulikovType.I, KulikovType.II, KulikovType.III
 
 
@@ -50,6 +52,15 @@ class TestAllowedMFromType:
         type1 = allowed_m_from_type(I)
         assert max(type1) == 66
         assert type1 == set(bounded_orders(20))
+
+    def test_derivation_matches_the_stated_tables(self):
+        for t in KulikovType:
+            assert allowed_m_from_type(t) == oracles.orders_from_type_table(t)
+        for m in range(1, 10**4 + 1):
+            assert allowed_types_from_m(m) == oracles.types_from_order_table(m), m
+
+    def test_huge_order_forces_good_reduction(self):
+        assert allowed_types_from_m(10**30 + 1) == {I}
 
     def test_galois_adjointness(self):
         for m in bounded_orders(20):

@@ -25,7 +25,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "k3degen"
 
 # name -> why it stays without a caller
-ALLOWED = {"allowed_m_from_type": "ROADMAP item 8"}
+ALLOWED = {}
 
 
 def _parse(path):
