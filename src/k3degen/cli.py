@@ -13,6 +13,7 @@ import functools
 import gc
 import json
 import math
+import re
 import sys
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
@@ -42,6 +43,20 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_BAD_INPUT)
+
+
+# a JSON integer literal: no sign but -, no leading zero, no space, no _, ASCII digits only
+_INT_LITERAL = re.compile(r"-?(?:0|[1-9][0-9]*)")
+
+
+def _int_literal(text: str) -> int:
+    """argparse's type for every integer option: the int that text spells as a JSON integer."""
+    if _INT_LITERAL.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _reject_constant(name: str):
@@ -180,9 +195,11 @@ def _cmd_classify_fiber(args) -> int:
 def _cmd_allowed_types(args) -> int:
     if args.m is None and args.field is None and args.height is None:
         raise ValueError("provide at least one of --m, --field, --height")
-    height = None
-    if args.height is not None:
-        height = degeneration.INFINITE_HEIGHT if args.height in ("inf", "infinite") else int(args.height)
+    height = args.height
+    if height in ("inf", "infinite"):
+        height = degeneration.INFINITE_HEIGHT
+    elif height is not None and _INT_LITERAL.fullmatch(height):
+        height = int(height)
     field = degeneration.HodgeFieldClass(args.field) if args.field else None
     decision = degeneration.combine(m=args.m, e=field, h=height, residue_char=args.char)
     inputs = {"m": args.m, "field": args.field, "height": args.height, "char": args.char}
@@ -329,69 +346,86 @@ def _cmd_fixtures(args) -> int:
     return EXIT_OK if passed == len(results) else EXIT_CONSTRAINT
 
 
-# one parser per process: _Parser.error looks up sys.stderr only when it reports
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="k3degen", description=__doc__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+def _arg(*flags, **options):
+    return flags, options
 
-    p = sub.add_parser("classify-fiber", help="classify a semistable fiber into Kulikov types")
-    p.add_argument("payload", help="path to an SNC surface JSON file, or - for stdin")
-    p.set_defaults(func=_cmd_classify_fiber)
 
-    p = sub.add_parser("allowed-types", help="degeneration types allowed by given constraints")
-    p.add_argument("--m", type=int, help="order of the action on the 2-forms")
-    p.add_argument(
-        "--field",
-        choices=[c.value for c in degeneration.HodgeFieldClass],
-        help="Hodge endomorphism field class",
-    )
-    p.add_argument("--height", help="formal Brauer height: 1..10 or 'infinite'")
-    p.add_argument("--char", type=int, help="residue characteristic, if known")
-    p.set_defaults(func=_cmd_allowed_types)
+# Each subcommand once: name -> (help, handler, arguments), an argument being the
+# flags and options of one add_argument call. Both kinds of parser are built from it.
+_COMMANDS = {
+    "classify-fiber": ("classify a semistable fiber into Kulikov types", _cmd_classify_fiber, (
+        _arg("payload", help="path to an SNC surface JSON file, or - for stdin"),
+    )),
+    "allowed-types": ("degeneration types allowed by given constraints", _cmd_allowed_types, (
+        _arg("--m", type=_int_literal, help="order of the action on the 2-forms"),
+        _arg(
+            "--field", choices=[c.value for c in degeneration.HodgeFieldClass], help="Hodge endomorphism field class"
+        ),
+        _arg("--height", help="formal Brauer height: 1..10 or 'infinite'"),
+        _arg("--char", type=_int_literal, help="residue characteristic, if known"),
+    )),
+    "charpoly": ("admissible transcendental characteristic polynomials", _cmd_charpoly, (
+        _arg("--m", type=_int_literal, required=True),
+        _arg("--setting", choices=("char0", "finite-field", "finite-height", "liftable"), default="char0"),
+        _arg("--p", type=_int_literal, help="residue characteristic (positive-characteristic settings)"),
+        _arg("--t-rank", type=_int_literal, required=True, dest="t_rank"),
+    )),
+    "orders": ("prime-power twists or all orders under a totient bound", _cmd_orders, (
+        _arg("--max-t", type=_int_literal, dest="max_t", help="totient bound for prime powers"),
+        _arg("--phi-bound", type=_int_literal, dest="phi_bound", help="totient bound for all orders"),
+    )),
+    "ss-check": ("supersingular order check: m | p^sigma0 + 1", _cmd_ss_check, (
+        _arg("--m", type=_int_literal, required=True),
+        _arg("--p", type=_int_literal, required=True),
+    )),
+    "orient": ("orient a Delta-complex, optionally push along a symmetry", _cmd_orient, (
+        _arg("payload", help="path to a complex JSON file, or - for stdin"),
+    )),
+    "euler": ("Euler numbers and trivial lattice rank of a fiber multiset", _cmd_euler, (
+        _arg("payload", help="path to a fiber multiset JSON file, or - for stdin"),
+        _arg("--characteristic", type=_int_literal, help="residue characteristic, if known"),
+    )),
+    "lattice": ("invariants of named lattices and their direct sums", _cmd_lattice, (
+        _arg("names", nargs="+", help="lattice names: U, E8, K3, A<n>"),
+        _arg("--rescale", type=_int_literal, help="multiply the form by a nonzero integer"),
+    )),
+    "fixtures": ("replay the bundled example corpus", _cmd_fixtures, (
+        _arg("--dir", help=f"corpus directory (default: bundled, or ${corpus.ENV_VAR})"),
+    )),
+}
 
-    p = sub.add_parser("charpoly", help="admissible transcendental characteristic polynomials")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--setting", choices=("char0", "finite-field", "finite-height", "liftable"), default="char0")
-    p.add_argument("--p", type=int, help="residue characteristic (positive-characteristic settings)")
-    p.add_argument("--t-rank", type=int, required=True, dest="t_rank")
-    p.set_defaults(func=_cmd_charpoly)
 
-    p = sub.add_parser("orders", help="prime-power twists or all orders under a totient bound")
-    p.add_argument("--max-t", type=int, dest="max_t", help="totient bound for prime powers")
-    p.add_argument("--phi-bound", type=int, dest="phi_bound", help="totient bound for all orders")
-    p.set_defaults(func=_cmd_orders)
-
-    p = sub.add_parser("ss-check", help="supersingular order check: m | p^sigma0 + 1")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.set_defaults(func=_cmd_ss_check)
-
-    p = sub.add_parser("orient", help="orient a Delta-complex, optionally push along a symmetry")
-    p.add_argument("payload", help="path to a complex JSON file, or - for stdin")
-    p.set_defaults(func=_cmd_orient)
-
-    p = sub.add_parser("euler", help="Euler numbers and trivial lattice rank of a fiber multiset")
-    p.add_argument("payload", help="path to a fiber multiset JSON file, or - for stdin")
-    p.add_argument("--characteristic", type=int, help="residue characteristic, if known")
-    p.set_defaults(func=_cmd_euler)
-
-    p = sub.add_parser("lattice", help="invariants of named lattices and their direct sums")
-    p.add_argument("names", nargs="+", help="lattice names: U, E8, K3, A<n>")
-    p.add_argument("--rescale", type=int, help="multiply the form by a nonzero integer")
-    p.set_defaults(func=_cmd_lattice)
-
-    p = sub.add_parser("fixtures", help="replay the bundled example corpus")
-    p.add_argument("--dir", help=f"corpus directory (default: bundled, or ${corpus.ENV_VAR})")
-    p.set_defaults(func=_cmd_fixtures)
-
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    _, handler, arguments = _COMMANDS[name]
+    for flags, options in arguments:
+        parser.add_argument(*flags, **options)
+    parser.set_defaults(func=handler)
     return parser
 
 
+# each parser is built once per process: _Parser.error looks up sys.stderr only when it reports
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The whole command tree, for -h, no arguments and unknown subcommands."""
+    parser = _Parser(prog="k3degen", description=__doc__)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (help_, _, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_), name)
+    return parser
+
+
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one subcommand, the same one build_parser adds under that name."""
+    return _add_arguments(_Parser(prog=f"k3degen {name}"), name)
+
+
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in _COMMANDS:
+            args = _command_parser(argv[0]).parse_args(argv[1:])
+        else:
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_BAD_INPUT
     try:

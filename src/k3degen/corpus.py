@@ -202,7 +202,12 @@ def run_fixture(path: Path) -> FixtureResult:
 
 
 def run_corpus(directory) -> list[FixtureResult]:
+    if not os.fspath(directory):  # Path("") would be the working directory
+        raise ValueError("fixture directory not found: ''")
     directory = Path(directory)
     if not directory.is_dir():
         raise ValueError(f"fixture directory not found: {directory}")
-    return [run_fixture(p) for p in sorted(directory.glob("*.json"))]
+    paths = sorted(directory.glob("*.json"))
+    if not paths:
+        raise ValueError(f"no *.json fixtures in {directory}")
+    return [run_fixture(p) for p in paths]

@@ -104,7 +104,8 @@ def standard_lattice(name: str) -> Lattice:
         return k3_lattice()
     if key.startswith("A"):
         digits = key[1:].strip("()")
-        if digits.isdigit():
+        # n is written as a JSON integer: ASCII digits without a leading zero
+        if digits.isascii() and digits.isdigit() and (digits[0] != "0" or digits == "0"):
             return root_lattice_a(int(digits))
     raise ValueError(f"unknown lattice name: {name!r}")
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -11,8 +12,8 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from k3degen import corpus
-from k3degen.cli import _pretty, run
+from k3degen import cli, corpus
+from k3degen.cli import _int_literal, _pretty, build_parser, run
 from k3degen.degeneration import HodgeFieldClass
 from k3degen.dualcomplex import DeltaComplex
 from k3degen.sncfiber import KINDS, SNCSurface
@@ -244,6 +245,48 @@ class TestAllowedTypes:
         for char in ("0", "1", "4"):
             code, out, err = invoke(capsys, ["allowed-types", "--m", "4", "--char", char])
             assert code == 1 and out == "" and "prime" in err
+
+
+# one argv per integer option; {} marks the value under test
+_INTEGER_OPTIONS = [
+    ["allowed-types", "--m", "{}"],
+    ["allowed-types", "--m", "5", "--char", "{}"],
+    ["charpoly", "--m", "{}", "--t-rank", "4"],
+    ["charpoly", "--m", "1", "--setting", "finite-field", "--p", "{}", "--t-rank", "4"],
+    ["charpoly", "--m", "1", "--t-rank", "{}"],
+    ["orders", "--max-t", "{}"],
+    ["orders", "--phi-bound", "{}"],
+    ["ss-check", "--m", "{}", "--p", "7"],
+    ["ss-check", "--m", "5", "--p", "{}"],
+    ["euler", "fibers.json", "--characteristic", "{}"],
+    ["lattice", "U", "--rescale", "{}"],
+]
+
+
+class TestIntegerOptions:
+    """An integer option takes a JSON integer literal, -?(0|[1-9][0-9]*), and nothing else."""
+
+    @pytest.mark.parametrize("text", ["1_0", "\u0663", "+4", "007", " 7 "])
+    @pytest.mark.parametrize("argv", _INTEGER_OPTIONS, ids=lambda argv: f"{argv[0]} {argv[argv.index('{}') - 1]}")
+    def test_only_a_json_integer_is_read(self, capsys, argv, text):
+        code, out, err = invoke(capsys, [text if a == "{}" else a for a in argv])
+        assert (code, out) == (1, "")
+        assert err.endswith(f"error: argument {argv[argv.index('{}') - 1]}: invalid int value: {text!r}\n")
+
+    def test_json_integers_are_read(self):
+        assert [_int_literal(t) for t in ("0", "-0", "-12", "10", "9" * 40)] == [0, 0, -12, 10, int("9" * 40)]
+        with pytest.raises(argparse.ArgumentTypeError, match="invalid int value: '1{5000}'"):
+            _int_literal("1" * 5000)  # more digits than int() converts
+
+    @pytest.mark.parametrize("height", [" 2", "2 ", "+2", "02", "\u0662", "2_0"])
+    def test_height_is_infinite_or_a_json_integer(self, capsys, height):
+        code, out, err = invoke(capsys, ["allowed-types", "--height", height])
+        assert (code, out, err) == (1, "", f"error: height must be an integer in 1..10 or infinite, got {height!r}\n")
+
+    @pytest.mark.parametrize("name", ["A\u0663", "A(\u0663)", "A007", "A(03)"])
+    def test_lattice_n_is_a_json_integer(self, capsys, name):
+        code, out, err = invoke(capsys, ["lattice", name])
+        assert (code, out, err) == (1, "", f"error: unknown lattice name: {name!r}\n")
 
 
 class TestCharpolyAndOrders:
@@ -645,9 +688,15 @@ class TestFixturesCommand:
         assert result["failed"] == 0 and result["total"] >= 12
 
     def test_empty_directory(self, capsys, tmp_path):
-        code, out, _ = invoke(capsys, ["fixtures", "--dir", str(tmp_path)])
-        assert code == 0
-        assert json.loads(out)["result"]["total"] == 0
+        (tmp_path / "notes.txt").write_text("{}")
+        code, out, err = invoke(capsys, ["fixtures", "--dir", str(tmp_path)])
+        assert (code, out, err) == (1, "", f"error: no *.json fixtures in {tmp_path}\n")
+
+    def test_empty_dir_is_not_the_working_directory(self, capsys, tmp_path, monkeypatch):
+        shutil.copy(corpus.default_corpus_dir() / "grw_table.json", tmp_path)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = invoke(capsys, ["fixtures", "--dir", ""])
+        assert (code, out, err) == (1, "", "error: fixture directory not found: ''\n")
 
     def test_corrupted_fixture_isolated(self, capsys, tmp_path):
         for path in sorted(corpus.default_corpus_dir().glob("*.json")):
@@ -661,9 +710,12 @@ class TestFixturesCommand:
         assert failing == [result["fixtures"][-1]]
 
     def test_env_var_override(self, capsys, tmp_path, monkeypatch):
+        shutil.copy(corpus.default_corpus_dir() / "grw_table.json", tmp_path)
         monkeypatch.setenv(corpus.ENV_VAR, str(tmp_path))
         code, out, _ = invoke(capsys, ["fixtures"])
-        assert code == 0 and json.loads(out)["result"]["total"] == 0
+        assert code == 0 and json.loads(out)["result"]["fixtures"] == [
+            {"name": "grw_table", "passed": True, "detail": "3 rows match"}
+        ]
 
     def test_missing_directory_is_bad_input(self, capsys, tmp_path):
         assert invoke(capsys, ["fixtures", "--dir", str(tmp_path / "nope")])[0] == 1
@@ -705,6 +757,42 @@ class TestColdStart:
         assert (result["passed"], result["total"]) == (12, 12)
         assert json.loads(proc.stderr.splitlines()[-1]) == [False, 0]
 
+    def test_a_subcommand_builds_only_its_own_parser(self):
+        # in process the tests have long built the whole tree; a fresh interpreter has not
+        script = (
+            "import json, sys\n"
+            "from k3degen import cli\n"
+            "code = cli.run(['orders', '--phi-bound', '3'])\n"
+            "print(json.dumps([code, cli.build_parser.cache_info().currsize]), file=sys.stderr)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=_src_env(), timeout=60
+        )
+        assert json.loads(proc.stdout)["result"] == {"max": 6, "orders": [1, 2, 3, 4, 6]}
+        assert json.loads(proc.stderr.splitlines()[-1]) == [0, 0]
+
+
+# every option of every subcommand, abbreviations, help, the separator and junk
+_TOKENS = st.sampled_from([
+    "--m", "--p", "--t-rank", "--setting", "--field", "--height", "--char", "--max-t", "--phi-bound",
+    "--characteristic", "--rescale", "--dir", "--ph", "--he", "--ma", "--m=3", "--t", "-h", "--help", "--", "-",
+    "-x", "--bogus", "U", "A3", "char0", "liftable", "rational", "infinite", "7", "-7", "1_0", "", "x.json",
+]) | st.text(max_size=4)
+
+
+@st.composite
+def dispatch_argv(draw):
+    return [draw(st.sampled_from(sorted(cli._COMMANDS))), *draw(st.lists(_TOKENS, max_size=7))]
+
+
+def _parse(parser, argv):
+    """The parsed namespace as a dict, or the exit code the parser raised."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+
 
 class TestDispatch:
     def test_unknown_subcommand(self, capsys):
@@ -712,6 +800,23 @@ class TestDispatch:
 
     def test_no_arguments(self, capsys):
         assert invoke(capsys, [])[0] == 1
+
+    def test_unrecognized_arguments_show_the_subcommand_usage(self, capsys):
+        code, out, err = invoke(capsys, ["ss-check", "--m", "5", "--p", "7", "--t-rank", "3"])
+        assert (code, out) == (1, "")
+        assert err == "usage: k3degen ss-check [-h] --m M --p P\nerror: unrecognized arguments: --t-rank 3\n"
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(dispatch_argv())
+    @example(["lattice", "--", "U"])
+    @example(["orders", "--ph", "3"])
+    @example(["allowed-types", "--he", "2"])
+    @example(["fixtures", "-h"])
+    def test_subcommand_parser_agrees_with_the_tree(self, argv):
+        whole = _parse(build_parser(), argv)
+        if type(whole) is dict:
+            del whole["subcommand"]
+        assert _parse(cli._command_parser(argv[0]), argv[1:]) == whole
 
 
 # Report keys are always str: ids and numbers travel as values, never as keys.
@@ -853,18 +958,40 @@ _ARG_VALUES = (
     st.integers().map(str)
     | st.integers(-(10**40), 10**40).map(str)
     | st.sampled_from([0, 1, 2, 10**5, 10**5 + 1, 10**30 + 1, 3317044064679887385961981]).map(str)
-    | st.sampled_from(["inf", "infinite", "1e5", "0x10", " 7 ", "1_000", "-1", "-", "", "--m"])
-    | st.sampled_from([c.value for c in HodgeFieldClass])
+    | st.sampled_from(["inf", "infinite", "1e5", "0x10", " 7 ", "1_000", "-1", "-", "", "--m", ".", "/", "\x00"])
+    | st.sampled_from([c.value for c in HodgeFieldClass] + ["char0", "finite-field", "finite-height", "liftable"])
     | st.text(max_size=8)
 )
-_COMMANDS = {"allowed-types": ("--m", "--field", "--height", "--char"), "orders": ("--max-t", "--phi-bound")}
+# lattice names: every named lattice and A<n> in each spelling, with small n (the caps are examples)
+_LATTICE_NAMES = (
+    st.sampled_from(["U", "E8", "K3", "u", " e8", "A", "A()", "A(", "A-1", "Z9"])
+    | st.builds("A{}".format, st.integers(-2, 30))
+    | st.builds("a({})".format, st.integers(-2, 30))
+    | st.text(max_size=5)
+)
+_MISSING = str(Path(__file__).resolve().parent / "no-such-directory")
+_MISSING_PATHS = st.text(max_size=8).map(lambda name: [f"{_MISSING}/{name}"])
+# subcommand -> (its positional arguments, its options); EULER_PAYLOAD marks a valid fiber multiset
+EULER_PAYLOAD = "<euler payload>"
+_FUZZED = {
+    "allowed-types": (st.just([]), ("--m", "--field", "--height", "--char")),
+    "orders": (st.just([]), ("--max-t", "--phi-bound")),
+    "charpoly": (st.just([]), ("--m", "--setting", "--p", "--t-rank")),
+    "ss-check": (st.just([]), ("--m", "--p")),
+    "lattice": (st.lists(_LATTICE_NAMES, min_size=1, max_size=4), ("--rescale",)),
+    "euler": (st.just([EULER_PAYLOAD]), ("--characteristic",)),
+    "fixtures": (st.just([]), ("--dir",)),
+    "classify-fiber": (_MISSING_PATHS, ()),
+    "orient": (_MISSING_PATHS, ()),
+}
 
 
 @st.composite
 def fuzzed_argv(draw):
-    command = draw(st.sampled_from(sorted(_COMMANDS)))
-    argv = [command]
-    for option in draw(st.lists(st.sampled_from(_COMMANDS[command]), max_size=4)):
+    command = draw(st.sampled_from(sorted(_FUZZED)))
+    positionals, options = _FUZZED[command]
+    argv = [command, *draw(positionals)]
+    for option in draw(st.lists(st.sampled_from(options), max_size=4)) if options else ():
         argv += [option, draw(_ARG_VALUES)]
     return argv
 
@@ -872,13 +999,29 @@ def fuzzed_argv(draw):
 class TestFuzzedArgv:
     """Every argv gets an answer or a rejection, with no traceback, in bounded time."""
 
-    @settings(derandomize=True, deadline=None, max_examples=400)
+    def test_every_subcommand_is_fuzzed(self):
+        assert set(_FUZZED) == set(cli._COMMANDS)
+
+    @settings(derandomize=True, deadline=None, max_examples=900)
     @given(fuzzed_argv())
     @example(["orders", "--max-t", "100000"])
     @example(["orders", "--phi-bound", "100000"])
     @example(["allowed-types", "--m", str(10**30 + 1), "--height", "infinite"])
     @example(["allowed-types", "--m", "4", "--char", "3317044064679887385961981"])
-    def test_answer_or_reject(self, argv):
+    @example(["lattice", "A200"])
+    @example(["lattice", "U", "A198", "--rescale", "-1"])
+    @example(["lattice", "A(201)"])
+    @example(["lattice", "U", "A199"])
+    @example(["charpoly", "--m", "2", "--setting", "finite-height", "--p", "3", "--t-rank", "21"])
+    @example(["charpoly", "--m", "1", "--setting", "liftable", "--p", "3317044064679887385961979", "--t-rank", "21"])
+    @example(["ss-check", "--m", str(10**40), "--p", "3317044064679887385961979"])
+    @example(["euler", EULER_PAYLOAD, "--characteristic", "3317044064679887385961981"])
+    @example(["fixtures", "--dir", ""])
+    def test_answer_or_reject(self, tmp_path_factory, argv):
+        payload = tmp_path_factory.getbasetemp() / "fuzzed_euler.json"
+        if not payload.exists():
+            payload.write_text(json.dumps({"fibers": {"II": 1, "I1": 22}}))
+        argv = [str(payload) if a == EULER_PAYLOAD else a for a in argv]
         err = io.StringIO()
         start = time.perf_counter()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
