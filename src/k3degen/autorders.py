@@ -12,7 +12,7 @@ Supersingular surfaces obey the divisibility m | p^{sigma0} + 1 instead.
 from __future__ import annotations
 
 from ._record import Record
-from .cyclotomic import CycloFactorization, euler_phi
+from .cyclotomic import CycloFactorization, _primes, euler_phi
 
 CHAR0 = "char0"
 LIFTABLE = "liftable"
@@ -156,11 +156,19 @@ def wild_prime_powers(max_t: int) -> list[int]:
 
     These are the prime-power twists that can enter the cyclotomic index in
     positive characteristic, bounded by the degree available in H^2. Every
-    such p has p - 1 <= max_t; max_t <= 10**5 keeps the prime scan bounded.
+    such p has p - 1 <= max_t, and phi(p^e) = (p - 1) p^(e - 1); max_t <= 10**5
+    keeps the prime sieve bounded.
     """
     if not 1 <= max_t <= 10**5:
         raise ValueError(f"max_t must lie in 1..100000, got {max_t}")
-    return sorted(q for p in range(2, max_t + 2) if is_prime(p) for q, _ in _power_candidates(1, p, max_t)[1:])
+    powers = []
+    for p in _primes(max_t + 1):
+        q, phi = p, p - 1
+        while phi <= max_t:
+            powers.append(q)
+            q, phi = q * p, phi * p
+    powers.sort()
+    return powers
 
 
 def nygaard_sigma0(m: int, p: int) -> list[int]:

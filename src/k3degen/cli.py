@@ -39,10 +39,27 @@ _INPUT_ERRORS = (ValueError, KeyError, TypeError, InvalidComplex, MissingBetti, 
 
 
 class _Parser(argparse.ArgumentParser):
+    def parse_args(self, args=None, namespace=None):
+        namespace = super().parse_args(args, namespace)
+        vars(namespace).pop("_given", None)  # _Once's record, not an argument
+        return namespace
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_BAD_INPUT)
+
+
+class _Once(argparse.Action):
+    """Store an option's value; an option given twice is bad input, not 'the last one wins'.
+    Each parse fills a fresh namespace, so the options given so far are recorded there."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("_given", set())
+        if self.dest in given:
+            raise argparse.ArgumentError(self, "given more than once")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
 
 
 # a JSON integer literal: no sign but -, no leading zero, no space, no _, ASCII digits only
@@ -214,7 +231,11 @@ def _cmd_allowed_types(args) -> int:
 def _cmd_charpoly(args) -> int:
     if args.setting != "char0" and args.p is None:
         raise ValueError(f"setting {args.setting!r} requires --p")
-    setting = autorders.CharSetting(args.setting.replace("-", "_"), args.p)
+    kind = args.setting.replace("-", "_")
+    try:
+        setting = autorders.CharSetting(kind, args.p)
+    except ValueError as exc:  # name the setting as typed, not by its library spelling
+        raise ValueError(str(exc).replace(repr(kind), repr(args.setting))) from None
     candidates = autorders.admissible_transcendental_charpolys(args.m, setting, args.t_rank)
     rows = []
     for f in candidates:
@@ -347,6 +368,8 @@ def _cmd_fixtures(args) -> int:
 
 
 def _arg(*flags, **options):
+    if flags[0].startswith("-"):
+        options["action"] = _Once
     return flags, options
 
 

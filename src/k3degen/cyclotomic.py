@@ -7,6 +7,7 @@ Everything here is exact: no floats, no modular shortcuts.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 
@@ -68,44 +69,11 @@ class IntPolynomial:
             parts.append(sign + coeff + term)
         return f"IntPolynomial('{''.join(parts)}')"
 
-    def __mul__(self, other: IntPolynomial) -> IntPolynomial:
-        # Schoolbook multiplication; degrees in this library stay tiny.
-        if self.is_zero() or other.is_zero():
-            return IntPolynomial()
-        result = [0] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coefficients):
-                result[i + j] += a * b
-        return IntPolynomial(result)
-
-    def __pow__(self, n: int) -> IntPolynomial:
-        if n < 0:
-            raise ValueError("negative powers are not polynomials")
-        result = IntPolynomial([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __divmod__(self, divisor: IntPolynomial):
         """Quotient and remainder by a monic divisor (stays in Z[x])."""
         if not divisor.is_monic():
             raise ValueError("division is only defined for monic divisors")
-        quotient = [0] * max(len(self.coefficients) - len(divisor.coefficients) + 1, 0)
-        rem = list(self.coefficients)
-        d = divisor.degree()
-        for k in range(len(rem) - 1, d - 1, -1):
-            c = rem[k]
-            if c == 0:
-                continue
-            quotient[k - d] = c
-            for j, b in enumerate(divisor.coefficients):
-                rem[k - d + j] -= c * b
+        quotient, rem = _divide(self.coefficients, divisor.coefficients)
         return IntPolynomial(quotient), IntPolynomial(rem)
 
     def exact_div(self, divisor: IntPolynomial) -> IntPolynomial:
@@ -115,7 +83,40 @@ class IntPolynomial:
         return quotient
 
 
-ONE = IntPolynomial([1])
+def _times(a, b) -> list[int]:
+    """Schoolbook product of two coefficient sequences, lowest degree first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for j, c in enumerate(b):
+        if c:
+            for i, x in enumerate(a, j):
+                out[i] += c * x
+    return out
+
+
+def _divide(a, b) -> tuple[list[int], list[int]]:
+    """Quotient and remainder lists of a by the monic b, lowest degree first."""
+    rem = list(a)
+    d = len(b) - 1
+    quotient = [0] * max(len(rem) - d, 0)
+    for k in range(len(rem) - 1, d - 1, -1):
+        c = rem[k]
+        if c:
+            quotient[k - d] = c
+            for j, x in enumerate(b, k - d):
+                rem[j] -= c * x
+    return quotient, rem[:d]
+
+
+def _primes(n: int) -> list[int]:
+    """The primes p <= n, by a sieve of Eratosthenes over a bytearray."""
+    if n < 2:
+        return []
+    flags = bytearray([1]) * (n + 1)
+    flags[0] = flags[1] = 0
+    for p in range(2, math.isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return list(itertools.compress(range(n + 1), flags))
 
 
 def x_power_minus_one(m: int) -> IntPolynomial:
@@ -174,20 +175,27 @@ def bounded_orders(bound: int) -> list[int]:
     """
     if not 1 <= bound <= 10**5:
         raise ValueError(f"bounded_orders requires 1 <= bound <= 100000, got {bound}")
-    primes = [p for p in range(2, bound + 2) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    # bound + 2 follows the last prime: its p - 1 passes the bound, so it never fits
+    primes = _primes(bound + 1) + [bound + 2]
+    orders = [1]
 
-    def orders(m, phi, start):
-        yield m
-        for i in range(start, len(primes)):
+    def walk(m, phi, start):
+        # append every m * q that fits, q a product of powers of primes[start:],
+        # and walk on from m * q only while the next prime still fits
+        for i in range(start, len(primes) - 1):
             p = primes[i]
             m_p, phi_p = m * p, phi * (p - 1)
             if phi_p > bound:
                 break
             while phi_p <= bound:
-                yield from orders(m_p, phi_p, i + 1)
+                orders.append(m_p)
+                if phi_p * (primes[i + 1] - 1) <= bound:
+                    walk(m_p, phi_p, i + 1)
                 m_p, phi_p = m_p * p, phi_p * p
 
-    return sorted(orders(1, 1, 0))
+    walk(1, 1, 0)
+    orders.sort()
+    return orders
 
 
 class CycloFactorization:
@@ -214,10 +222,12 @@ class CycloFactorization:
 
     def expand(self) -> IntPolynomial:
         """Multiply the factors back out to an integer polynomial."""
-        result = ONE
-        for m in sorted(self.factors):
-            result = result * cyclotomic_poly(m) ** self.factors[m]
-        return result
+        product = [1]
+        for m, mult in self.factors.items():
+            factor = cyclotomic_poly(m).coefficients
+            for _ in range(mult):
+                product = _times(product, factor)
+        return IntPolynomial(product)
 
     def total_degree(self) -> int:
         return sum(mult * euler_phi(m) for m, mult in self.factors.items())
@@ -247,21 +257,20 @@ def factor_into_cyclotomics(poly: IntPolynomial) -> CycloFactorization:
         raise ValueError("cannot factor the zero polynomial")
     if not poly.is_monic():
         raise ValueError("factor_into_cyclotomics requires a monic polynomial")
-    remaining = poly
+    rest = list(poly.coefficients)
     factors: dict[int, int] = {}
     for m in bounded_orders(max(poly.degree(), 1)):
-        if euler_phi(m) > remaining.degree():
+        if euler_phi(m) >= len(rest):
             continue
-        phi_m = cyclotomic_poly(m)
-        while True:
-            quotient, rem = divmod(remaining, phi_m)
-            if not rem.is_zero():
+        divisor = cyclotomic_poly(m).coefficients
+        while len(divisor) <= len(rest):
+            quotient, rem = _divide(rest, divisor)
+            if any(rem):
                 break
             factors[m] = factors.get(m, 0) + 1
-            remaining = quotient
-            if remaining.degree() < phi_m.degree():
-                break
-    if remaining != ONE:
+            rest = quotient
+    if rest != [1]:
+        remaining = IntPolynomial(rest)
         raise NotCyclotomicProduct(
             f"non-cyclotomic factor of degree {remaining.degree()} remains: {remaining!r}"
         )

@@ -94,8 +94,8 @@ def k3_lattice() -> Lattice:
 
 
 def standard_lattice(name: str) -> Lattice:
-    """Construct a named lattice: "U", "E8", "K3", or "A<n>" / "A(<n>)"."""
-    key = name.strip().upper()
+    """Construct a named lattice: "U", "E8", "K3", or "A<n>" / "A(<n>)", in any case."""
+    key = name.upper()
     if key == "U":
         return hyperbolic_plane()
     if key == "E8":
@@ -103,7 +103,7 @@ def standard_lattice(name: str) -> Lattice:
     if key == "K3":
         return k3_lattice()
     if key.startswith("A"):
-        digits = key[1:].strip("()")
+        digits = key[2:-1] if key[1:2] == "(" and key.endswith(")") else key[1:]
         # n is written as a JSON integer: ASCII digits without a leading zero
         if digits.isascii() and digits.isdigit() and (digits[0] != "0" or digits == "0"):
             return root_lattice_a(int(digits))

@@ -35,6 +35,16 @@ def prime_sieve(limit: int) -> list[bool]:
     return flags
 
 
+def totient_table(limit: int) -> list[int]:
+    """phi[m] for every m < limit, by sieving each prime's factor (1 - 1/p) into m."""
+    phi = list(range(limit))
+    for p, prime in enumerate(prime_sieve(limit)):
+        if prime:
+            for k in range(p, limit, p):
+                phi[k] -= phi[k] // p
+    return phi
+
+
 def mobius(n: int) -> int:
     result = 1
     p = 2
@@ -68,6 +78,15 @@ def poly_mul(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return poly_trim(out)
+
+
+def poly_product(factors):
+    """prod of Phi_m^mult over a map m -> mult, from the Moebius cyclotomics."""
+    out = (1,)
+    for m, mult in factors.items():
+        for _ in range(mult):
+            out = poly_mul(out, cyclo_oracle(m))
+    return out
 
 
 def poly_div_exact(num, den):

@@ -168,6 +168,12 @@ class TestAdmissibleCharpolys:
                 )
         assert got == expected
 
+    def test_expansions_against_schoolbook_product(self):
+        # the finite-height sweep of the arithmetic_queries workload: m in {1, 2, 4}, p in {3, 5, 7}
+        for m, p, t_rank in itertools.product((1, 2, 4), (3, 5, 7), range(1, 22)):
+            for f in admissible_transcendental_charpolys(m, CharSetting("finite_height", p), t_rank):
+                assert f.expand().coefficients == oracles.poly_product(f.factors)
+
     def test_finite_height_flags_multi_factor(self):
         result = admissible_transcendental_charpolys(1, CharSetting("finite_height", 3), 6)
         multi = [f for f in result if not is_single_power(f)]

@@ -312,6 +312,13 @@ class TestCharpolyAndOrders:
         multi = [c for c in candidates if not c["single_power"]]
         assert multi and all("note" in c for c in multi)
 
+    @pytest.mark.parametrize("setting", ["finite-field", "finite-height"])
+    def test_setting_is_named_as_typed(self, capsys, setting):
+        argv = ["charpoly", "--m", "1", "--setting", setting, "--t-rank", "4", "--p"]
+        assert invoke(capsys, [*argv, "2"]) == (1, "", f"error: setting '{setting}' requires p > 2\n")
+        err = f"error: setting '{setting}' needs a prime characteristic, got 4\n"
+        assert invoke(capsys, [*argv, "4"]) == (1, "", err)
+
     def test_charpoly_missing_p_is_bad_input(self, capsys):
         code, _, err = invoke(capsys, ["charpoly", "--m", "1", "--setting", "liftable", "--t-rank", "4"])
         assert code == 1 and "requires --p" in err
@@ -672,6 +679,15 @@ class TestLatticeCommand:
     def test_unknown_name(self, capsys):
         assert invoke(capsys, ["lattice", "Z9"])[0] == 1
 
+    @pytest.mark.parametrize("name, rank", [("e8", 8), ("u", 2), ("k3", 22), ("a3", 3), ("a(3)", 3), ("A(12)", 12)])
+    def test_names_in_any_case(self, capsys, name, rank):
+        code, out, _ = invoke(capsys, ["lattice", name])
+        assert code == 0 and json.loads(out)["result"]["rank"] == rank
+
+    @pytest.mark.parametrize("name", [" e8", "E8 ", "\tU", "K3\n", "A)3(", "A((3", "A(3", "A3)", "A(3))", " A(3) "])
+    def test_name_is_read_as_typed(self, capsys, name):
+        assert invoke(capsys, ["lattice", name]) == (1, "", f"error: unknown lattice name: {name!r}\n")
+
     def test_total_rank_cap(self, capsys):
         code, out, _ = invoke(capsys, ["lattice", "U", "A198"])
         assert code == 0 and json.loads(out)["result"]["rank"] == 200
@@ -794,6 +810,35 @@ def _parse(parser, argv):
             return exc.code
 
 
+class TestRepeatedOptions:
+    @pytest.mark.parametrize("argv, option", [
+        (["orders", "--phi-bound", "-883", "--phi-bound", "1"], "--phi-bound"),
+        (["allowed-types", "--m", "3", "--m", "4", "--char", "2"], "--m"),
+        (["orders", "--ph", "3", "--phi-bound=3"], "--phi-bound"),
+        (["charpoly", "--m", "1", "--t-rank", "2", "--setting", "char0", "--setting", "char0"], "--setting"),
+    ])
+    def test_second_value_is_bad_input(self, capsys, argv, option):
+        code, out, err = invoke(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"usage: k3degen {argv[0]} ")
+        assert err.endswith(f"error: argument {option}: given more than once\n")
+
+    def test_every_option_is_taken_once(self, capsys):
+        for name, (_, _, arguments) in cli._COMMANDS.items():
+            for flags, options in arguments:
+                if flags[0].startswith("-"):
+                    value = next(iter(options.get("choices", ["1"])))
+                    code, out, err = invoke(capsys, [name, flags[0], value, flags[0], value])
+                    assert (code, out) == (1, "")
+                    assert err.endswith(f"error: argument {flags[0]}: given more than once\n")
+
+    def test_namespace_holds_only_the_arguments(self):
+        args = cli._command_parser("orders").parse_args(["--phi-bound", "3"])
+        assert vars(args) == {"max_t": None, "phi_bound": 3, "func": cli._cmd_orders}
+        args = build_parser().parse_args(["orders", "--phi-bound", "3"])
+        assert vars(args) == {"subcommand": "orders", "max_t": None, "phi_bound": 3, "func": cli._cmd_orders}
+
+
 class TestDispatch:
     def test_unknown_subcommand(self, capsys):
         assert invoke(capsys, ["no-such-command"])[0] == 1
@@ -812,6 +857,7 @@ class TestDispatch:
     @example(["orders", "--ph", "3"])
     @example(["allowed-types", "--he", "2"])
     @example(["fixtures", "-h"])
+    @example(["orders", "--phi-bound", "1", "--ph", "2"])
     def test_subcommand_parser_agrees_with_the_tree(self, argv):
         whole = _parse(build_parser(), argv)
         if type(whole) is dict:
