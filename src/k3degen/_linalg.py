@@ -2,9 +2,9 @@
 
 Dense matrices, kept small by their callers: lattice Gram matrices up to
 the rank cap of 200, and the residual of d2 that the union-find pass in
-DeltaComplex.homology_dims leaves (the rows of edges on three or more
-sides, so empty on a surface). Fraction-free Bareiss elimination and
-rational congruence diagonalization are plenty for these.
+DeltaComplex.homology_dims leaves (the rows it cannot solve by killing or
+joining classes, so empty on a surface). Fraction-free Bareiss elimination
+and rational congruence diagonalization are plenty for these.
 """
 
 from __future__ import annotations

@@ -16,8 +16,8 @@ from .cyclotomic import CycloFactorization, _primes, euler_phi
 
 CHAR0 = "char0"
 LIFTABLE = "liftable"
-FINITE_HEIGHT = "finite_height"
-FINITE_FIELD = "finite_field"
+FINITE_HEIGHT = "finite-height"
+FINITE_FIELD = "finite-field"
 
 # K3 transcendental rank is at most 21: the Neron-Severi rank is >= 1.
 # This cap also reproduces the prime-power enumeration with 23 excluded
@@ -62,7 +62,7 @@ def is_prime(n: int) -> bool:
 class CharSetting(Record):
     """The arithmetic setting an automorphism lives in.
 
-    kind is one of char0, liftable, finite_height, finite_field; the last
+    kind is one of char0, liftable, finite-height, finite-field; the last
     three carry the residue characteristic p. The finite-height and
     finite-field cases require p > 2; liftable automorphisms exist in
     characteristic 2 as well.

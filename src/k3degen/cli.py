@@ -231,20 +231,17 @@ def _cmd_allowed_types(args) -> int:
 def _cmd_charpoly(args) -> int:
     if args.setting != "char0" and args.p is None:
         raise ValueError(f"setting {args.setting!r} requires --p")
-    kind = args.setting.replace("-", "_")
-    try:
-        setting = autorders.CharSetting(kind, args.p)
-    except ValueError as exc:  # name the setting as typed, not by its library spelling
-        raise ValueError(str(exc).replace(repr(kind), repr(args.setting))) from None
+    setting = autorders.CharSetting(args.setting, args.p)
     candidates = autorders.admissible_transcendental_charpolys(args.m, setting, args.t_rank)
     rows = []
     for f in candidates:
+        single = autorders.is_single_power(f)
         row = {
             "factors": {str(m): mult for m, mult in sorted(f.factors.items())},
             "coefficients": list(f.expand().coefficients),
-            "single_power": autorders.is_single_power(f),
+            "single_power": single,
         }
-        if setting.kind == autorders.FINITE_HEIGHT and not autorders.is_single_power(f):
+        if setting.kind == autorders.FINITE_HEIGHT and not single:
             row["note"] = "multi-factor candidate, not excluded in the finite-height case"
         rows.append(row)
     inputs = {"m": args.m, "setting": args.setting, "p": args.p, "t_rank": args.t_rank}
@@ -413,7 +410,7 @@ _COMMANDS = {
         _arg("--rescale", type=_int_literal, help="multiply the form by a nonzero integer"),
     )),
     "fixtures": ("replay the bundled example corpus", _cmd_fixtures, (
-        _arg("--dir", help=f"corpus directory (default: bundled, or ${corpus.ENV_VAR})"),
+        _arg("--dir", help="corpus directory (default: bundled)"),
     )),
 }
 

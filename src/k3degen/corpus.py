@@ -19,8 +19,6 @@ from .dualcomplex import ComplexAutomorphism, DeltaComplex, orientation_action
 from .elliptic import FiberConfiguration
 from .sncfiber import KulikovType, SNCSurface, crosscheck, grw_dims
 
-ENV_VAR = "K3DEGEN_FIXTURES"
-
 
 class FixtureResult(Record):
     __slots__ = ("name", "passed", "detail")
@@ -30,9 +28,6 @@ class FixtureResult(Record):
 
 
 def default_corpus_dir() -> Path:
-    override = os.environ.get(ENV_VAR)
-    if override:
-        return Path(override)
     from importlib import resources  # on first use: only fixtures needs it, and it loads tempfile, zipfile, typing
     return Path(str(resources.files("k3degen") / "fixtures"))
 

@@ -11,12 +11,14 @@ import itertools
 import math
 from functools import lru_cache
 
+from ._record import Record
+
 
 class NotCyclotomicProduct(Exception):
     """Raised when a monic integer polynomial has a non-cyclotomic factor."""
 
 
-class IntPolynomial:
+class IntPolynomial(Record):
     """A polynomial with integer coefficients, lowest degree first.
 
     Trailing zero coefficients are trimmed on construction, so the leading
@@ -35,10 +37,7 @@ class IntPolynomial:
         end = len(coeffs)
         while end > 0 and coeffs[end - 1] == 0:
             end -= 1
-        object.__setattr__(self, "coefficients", coeffs[:end])
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntPolynomial is immutable")
+        self._set(coeffs[:end])
 
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
@@ -49,12 +48,6 @@ class IntPolynomial:
 
     def is_monic(self) -> bool:
         return bool(self.coefficients) and self.coefficients[-1] == 1
-
-    def __eq__(self, other):
-        return isinstance(other, IntPolynomial) and self.coefficients == other.coefficients
-
-    def __hash__(self):
-        return hash(self.coefficients)
 
     def __repr__(self):
         if self.is_zero():
@@ -68,19 +61,6 @@ class IntPolynomial:
             coeff = f"{abs(c)}" if (abs(c) != 1 or i == 0) else ""
             parts.append(sign + coeff + term)
         return f"IntPolynomial('{''.join(parts)}')"
-
-    def __divmod__(self, divisor: IntPolynomial):
-        """Quotient and remainder by a monic divisor (stays in Z[x])."""
-        if not divisor.is_monic():
-            raise ValueError("division is only defined for monic divisors")
-        quotient, rem = _divide(self.coefficients, divisor.coefficients)
-        return IntPolynomial(quotient), IntPolynomial(rem)
-
-    def exact_div(self, divisor: IntPolynomial) -> IntPolynomial:
-        quotient, rem = divmod(self, divisor)
-        if not rem.is_zero():
-            raise ValueError(f"{self!r} is not divisible by {divisor!r}")
-        return quotient
 
 
 def _times(a, b) -> list[int]:
@@ -119,10 +99,6 @@ def _primes(n: int) -> list[int]:
     return list(itertools.compress(range(n + 1), flags))
 
 
-def x_power_minus_one(m: int) -> IntPolynomial:
-    return IntPolynomial([-1] + [0] * (m - 1) + [1])
-
-
 def euler_phi(m: int) -> int:
     """Number of invertible residue classes modulo m, by prime factorization.
 
@@ -159,11 +135,13 @@ def cyclotomic_poly(m: int) -> IntPolynomial:
     """
     if m < 1:
         raise ValueError("cyclotomic_poly requires m >= 1")
-    poly = x_power_minus_one(m)
+    poly = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            poly = poly.exact_div(cyclotomic_poly(d))
-    return poly
+            poly, rem = _divide(poly, cyclotomic_poly(d).coefficients)
+            if any(rem):
+                raise ValueError(f"x^{m} - 1 is not divisible by Phi_{d}")
+    return IntPolynomial(poly)
 
 
 def bounded_orders(bound: int) -> list[int]:
@@ -198,7 +176,7 @@ def bounded_orders(bound: int) -> list[int]:
     return orders
 
 
-class CycloFactorization:
+class CycloFactorization(Record):
     """A multiset of cyclotomic factors, as a map m -> multiplicity.
 
     ``CycloFactorization({1: 10, 42: 1})`` stands for Phi_1^10 * Phi_42.
@@ -215,10 +193,7 @@ class CycloFactorization:
             if mult < 1:
                 raise ValueError(f"multiplicity must be positive, got {mult}")
             cleaned[m] = mult
-        object.__setattr__(self, "factors", cleaned)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CycloFactorization is immutable")
+        self._set(cleaned)
 
     def expand(self) -> IntPolynomial:
         """Multiply the factors back out to an integer polynomial."""
@@ -232,10 +207,7 @@ class CycloFactorization:
     def total_degree(self) -> int:
         return sum(mult * euler_phi(m) for m, mult in self.factors.items())
 
-    def __eq__(self, other):
-        return isinstance(other, CycloFactorization) and self.factors == other.factors
-
-    def __hash__(self):
+    def __hash__(self):  # the field is a dict, which Record cannot hash
         return hash(tuple(sorted(self.factors.items())))
 
     def __repr__(self):

@@ -15,7 +15,6 @@ undetermined there, and the triangle must then supply explicit signs.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 
 from . import _linalg
@@ -272,9 +271,11 @@ class DeltaComplex:
 
         h2 reduces d2 one edge row at a time without building it
         (Kaczynski-Mrozek-Slusarek): a weighted union-find over triangles
-        keeps z[t] = q[t] * z[parent[t]] exactly. A row with one live class
-        kills it (joins it to `zero`, where z = 0), a row with two joins
-        them, and rows with more are ranked at the end over the live roots.
+        keeps z[t] = q[t] * z[parent[t]] with integer weights q. A row with
+        one live class kills it (joins it to `zero`, where z = 0), a row
+        a z[r1] + b z[r2] joins one class under the other when one of a, b
+        divides the other, and the other rows are ranked at the end over the
+        live roots.
         """
         signs, zero = self._signs, len(self._tids)
         parent = list(range(zero + 1))
@@ -306,23 +307,17 @@ class DeltaComplex:
                 parent[next(iter(terms))] = zero
             elif len(terms) == 2:  # a z[r1] + b z[r2] = 0
                 (r1, a), (r2, b) = terms.items()
-                parent[r2] = r1
-                # an int where it divides (always, on a surface): ints multiply faster,
-                # and a cold start on a surface never imports fractions
                 if a % b == 0:
-                    q[r2] = -a // b
+                    parent[r2], q[r2] = r1, -a // b
+                elif b % a == 0:
+                    parent[r1], q[r1] = r2, -b // a
                 else:
-                    from fractions import Fraction
-
-                    q[r2] = Fraction(-a, b)
+                    residual.append(sides)
             elif terms:
                 residual.append(sides)
 
         live = [t for t in range(zero) if parent[t] == t]
-        matrix = []
-        for terms in map(live_terms, residual):
-            scale = math.lcm(*(c.denominator for c in terms.values()))  # Bareiss takes ints only
-            matrix.append([int(terms.get(r, 0) * scale) for r in live])
+        matrix = [[terms.get(r, 0) for r in live] for terms in map(live_terms, residual)]
         h2 = len(live) - _linalg.exact_rank(matrix)
         h0 = self.component_count()
         return h0, h0 - self.euler_characteristic() + h2, h2

@@ -22,7 +22,8 @@ class ImpossibleConfiguration(Exception):
 _FIXED_EULER = {"II": 2, "III": 3, "IV": 4, "II*": 10, "III*": 9, "IV*": 8}
 _FIXED_COMPONENTS = {"II": 1, "III": 2, "IV": 3, "II*": 9, "III*": 8, "IV*": 7}
 
-_FIBER_RE = re.compile(r"^I(\d+)(\*?)$")
+# n is written as a JSON integer, without a sign: ASCII digits and no leading zero
+_FIBER_RE = re.compile(r"I(0|[1-9][0-9]*)(\*?)")
 
 
 class KodairaFiber(Record):
@@ -50,10 +51,9 @@ class KodairaFiber(Record):
         """Parse labels like "I1", "I11", "I0*", "II", "IV*"."""
         if not isinstance(label, str):
             raise ValueError(f"Kodaira fiber label must be a string, got {label!r}")
-        label = label.strip()
         if label in _FIXED_EULER:
             return cls(label)
-        match = _FIBER_RE.match(label)
+        match = _FIBER_RE.fullmatch(label)
         if match:
             n = int(match.group(1))
             return cls("I*" if match.group(2) else "I", n)

@@ -8,13 +8,14 @@ Sign convention: the root lattices A(n) and E8 are stored negative definite
 from __future__ import annotations
 
 from . import _linalg
+from ._record import Record
 
 # Cap on the total rank: a Gram matrix holds rank**2 entries and its exact
 # inertia takes O(rank**3) Fraction steps, about a second at the cap.
 MAX_RANK = 200
 
 
-class Lattice:
+class Lattice(Record):
     """An integer lattice given by its symmetric Gram matrix."""
 
     __slots__ = ("gram",)
@@ -26,16 +27,7 @@ class Lattice:
             raise ValueError("Gram matrix must be square")
         if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
             raise ValueError("Gram matrix must be symmetric")
-        object.__setattr__(self, "gram", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Lattice is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Lattice) and self.gram == other.gram
-
-    def __hash__(self):
-        return hash(self.gram)
+        self._set(rows)
 
     def __repr__(self):
         return f"Lattice(rank={self.rank()}, det={self.det()})"

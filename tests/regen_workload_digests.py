@@ -7,16 +7,13 @@ digest changed.
 """
 
 import json
-import os
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from k3degen import corpus  # noqa: E402
 from test_workload_digests import DIGESTS, digests  # noqa: E402
 
 if __name__ == "__main__":
-    os.environ.pop(corpus.ENV_VAR, None)
     DIGESTS.write_text(json.dumps(digests(), indent=1) + "\n")
     print(f"wrote {DIGESTS}")

@@ -9,12 +9,10 @@ import random
 from k3degen.autorders import nygaard_sigma0, verify_het2_factorization, wild_prime_powers
 from k3degen.cyclotomic import (
     CycloFactorization,
-    IntPolynomial,
     bounded_orders,
     cyclotomic_poly,
     euler_phi,
     factor_into_cyclotomics,
-    x_power_minus_one,
 )
 from k3degen.degeneration import allowed_m_from_type, allowed_types_from_m, moduli_dim
 from k3degen.dualcomplex import orientation_action, sphere_failure
@@ -129,7 +127,7 @@ def test_criterion_07_cyclotomic_suite():
         for d in range(1, m + 1):
             if m % d == 0:
                 product = oracles.poly_mul(product, cyclotomic_poly(d).coefficients)
-        assert IntPolynomial(product) == x_power_minus_one(m)
+        assert product == oracles.x_pow_minus_one(m)
         assert cyclotomic_poly(m).degree() == euler_phi(m)
 
     rng = random.Random(97)

@@ -80,13 +80,13 @@ class TestCharSetting:
         with pytest.raises(ValueError):
             CharSetting("liftable", 6)
         with pytest.raises(ValueError):
-            CharSetting("finite_field", 1)
+            CharSetting("finite-field", 1)
 
     def test_finite_height_and_field_exclude_two(self):
         with pytest.raises(ValueError):
-            CharSetting("finite_height", 2)
+            CharSetting("finite-height", 2)
         with pytest.raises(ValueError):
-            CharSetting("finite_field", 2)
+            CharSetting("finite-field", 2)
         # liftable automorphisms exist in characteristic 2
         assert CharSetting("liftable", 2).p == 2
 
@@ -114,7 +114,7 @@ class TestAdmissibleCharpolys:
                 assert bool(result) == (t_rank % euler_phi(m) == 0)
 
     def test_finite_field_includes_twisted_power(self):
-        result = admissible_transcendental_charpolys(1, CharSetting("finite_field", 11), 20)
+        result = admissible_transcendental_charpolys(1, CharSetting("finite-field", 11), 20)
         assert CycloFactorization({11: 2}) in result
         assert CycloFactorization({1: 20}) in result
 
@@ -137,8 +137,8 @@ class TestAdmissibleCharpolys:
         settings = [
             CharSetting("char0"),
             CharSetting("liftable", 3),
-            CharSetting("finite_field", 5),
-            CharSetting("finite_height", 3),
+            CharSetting("finite-field", 5),
+            CharSetting("finite-height", 3),
         ]
         for setting in settings:
             for m in (1, 2, 4, 7):
@@ -152,7 +152,7 @@ class TestAdmissibleCharpolys:
 
     def test_finite_height_matches_brute_force(self):
         m, p, t_rank = 1, 3, 8
-        got = set(admissible_transcendental_charpolys(m, CharSetting("finite_height", p), t_rank))
+        got = set(admissible_transcendental_charpolys(m, CharSetting("finite-height", p), t_rank))
         indices = []
         q = m
         while euler_phi(q) <= t_rank:
@@ -171,11 +171,11 @@ class TestAdmissibleCharpolys:
     def test_expansions_against_schoolbook_product(self):
         # the finite-height sweep of the arithmetic_queries workload: m in {1, 2, 4}, p in {3, 5, 7}
         for m, p, t_rank in itertools.product((1, 2, 4), (3, 5, 7), range(1, 22)):
-            for f in admissible_transcendental_charpolys(m, CharSetting("finite_height", p), t_rank):
+            for f in admissible_transcendental_charpolys(m, CharSetting("finite-height", p), t_rank):
                 assert f.expand().coefficients == oracles.poly_product(f.factors)
 
     def test_finite_height_flags_multi_factor(self):
-        result = admissible_transcendental_charpolys(1, CharSetting("finite_height", 3), 6)
+        result = admissible_transcendental_charpolys(1, CharSetting("finite-height", 3), 6)
         multi = [f for f in result if not is_single_power(f)]
         assert CycloFactorization({1: 4, 3: 1}) in multi
         assert all(len(f.factors) > 1 for f in multi)

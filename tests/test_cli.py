@@ -636,6 +636,12 @@ class TestEulerCommand:
         code, out, _ = invoke(capsys, ["euler", path])
         assert code == 0 and json.loads(out)["result"]["euler_sum"] == 4
 
+    @pytest.mark.parametrize("label", [" I1 ", "I\u0663", "I01"])
+    def test_label_is_read_as_typed(self, capsys, tmp_path, label):
+        path = payload_file(tmp_path, "fibers.json", [label, "II"])
+        code, out, err = invoke(capsys, ["euler", path])
+        assert (code, out, err) == (1, "", f"error: cannot parse Kodaira fiber label {label!r}\n")
+
     def test_non_prime_characteristic_is_bad_input(self, capsys, tmp_path):
         path = payload_file(tmp_path, "fibers.json", {"fibers": {"II": 12}})
         for char in ("-5", "0", "4"):
@@ -725,10 +731,9 @@ class TestFixturesCommand:
         failing = [f for f in result["fixtures"] if not f["passed"]]
         assert failing == [result["fixtures"][-1]]
 
-    def test_env_var_override(self, capsys, tmp_path, monkeypatch):
+    def test_dir_selects_the_corpus(self, capsys, tmp_path):
         shutil.copy(corpus.default_corpus_dir() / "grw_table.json", tmp_path)
-        monkeypatch.setenv(corpus.ENV_VAR, str(tmp_path))
-        code, out, _ = invoke(capsys, ["fixtures"])
+        code, out, _ = invoke(capsys, ["fixtures", "--dir", str(tmp_path)])
         assert code == 0 and json.loads(out)["result"]["fixtures"] == [
             {"name": "grw_table", "passed": True, "detail": "3 rows match"}
         ]
@@ -738,6 +743,14 @@ class TestFixturesCommand:
 
 
 class TestColdStart:
+    def test_package_import_loads_no_module(self):
+        # the package exports only __version__: each name is imported from its module
+        script = "import json, sys\nimport k3degen\nprint(json.dumps(sorted(n for n in sys.modules if 'k3degen' in n)))\n"
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=_src_env(), timeout=60
+        )
+        assert json.loads(proc.stdout) == ["k3degen"]
+
     def test_import_loads_no_dataclasses_or_fractions(self):
         # what importing the CLI adds to a fresh interpreter; fractions comes with the first inertia
         script = (

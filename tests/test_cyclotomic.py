@@ -6,11 +6,11 @@ from k3degen.cyclotomic import (
     CycloFactorization,
     IntPolynomial,
     NotCyclotomicProduct,
+    _divide,
     bounded_orders,
     cyclotomic_poly,
     euler_phi,
     factor_into_cyclotomics,
-    x_power_minus_one,
 )
 
 import oracles
@@ -22,33 +22,32 @@ class TestIntPolynomial:
         assert IntPolynomial([0, 0]).coefficients == ()
         assert IntPolynomial([0, 0]).degree() == -1
 
-    def test_divmod_monic(self):
-        p = IntPolynomial([-1, 0, 0, 1])  # x^3 - 1
-        d = IntPolynomial([-1, 1])
-        q, r = divmod(p, d)
-        assert q.coefficients == (1, 1, 1) and r.is_zero()
-        q, r = divmod(IntPolynomial([1, 1]), IntPolynomial([0, 1]))
-        assert q.coefficients == (1,) and r.coefficients == (1,)
-        with pytest.raises(ValueError):
-            divmod(p, IntPolynomial([1, 2]))
-
-    def test_exact_div_raises_on_remainder(self):
-        with pytest.raises(ValueError):
-            IntPolynomial([1, 1]).exact_div(IntPolynomial([0, 1]))
-
-    def test_mul_divmod_roundtrip_random(self):
-        rng = random.Random(11)
-        for _ in range(100):
-            a = IntPolynomial([rng.randint(-9, 9) for _ in range(rng.randint(1, 6))])
-            b_coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(0, 5))] + [1]
-            b = IntPolynomial(b_coeffs)
-            q, r = divmod(IntPolynomial(oracles.poly_mul(a.coefficients, b.coefficients)), b)
-            assert q == a and r.is_zero()
-
     def test_immutable(self):
         p = IntPolynomial([1, 2])
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match="IntPolynomial is immutable"):
             p.coefficients = (3,)
+
+    def test_equality_and_hash(self):
+        assert IntPolynomial([1, 2, 0]) == IntPolynomial([1, 2])
+        assert hash(IntPolynomial([1, 2, 0])) == hash(IntPolynomial([1, 2]))
+        assert IntPolynomial([1, 2]) != (1, 2)
+
+
+class TestDivide:
+    def test_divide_monic(self):
+        assert _divide([-1, 0, 0, 1], [-1, 1]) == ([1, 1, 1], [0])  # x^3 - 1 = (x - 1)(x^2 + x + 1)
+        assert _divide([-1, 1], [-1, 0, 1]) == ([], [-1, 1])  # a lower degree is all remainder
+
+    def test_divide_leaves_the_remainder(self):
+        assert _divide([1, 1], [0, 1]) == ([1], [1])  # x + 1 = 1 * x + 1
+
+    def test_times_divide_roundtrip_random(self):
+        rng = random.Random(11)
+        for _ in range(100):
+            a = oracles.poly_trim([rng.randint(-9, 9) for _ in range(rng.randint(1, 6))])
+            b = [rng.randint(-9, 9) for _ in range(rng.randint(0, 5))] + [1]
+            quotient, rem = _divide(oracles.poly_mul(a, b), b)
+            assert tuple(quotient) == a and not any(rem)
 
 
 class TestEulerPhi:
@@ -86,7 +85,7 @@ class TestCyclotomicPoly:
             for d in range(1, m + 1):
                 if m % d == 0:
                     product = oracles.poly_mul(product, cyclotomic_poly(d).coefficients)
-            assert IntPolynomial(product) == x_power_minus_one(m)
+            assert product == oracles.x_pow_minus_one(m)
 
     def test_special_values(self):
         # Phi_m(0) = 1 for every m > 1, while Phi_m(1) detects prime powers:
@@ -173,6 +172,9 @@ class TestCycloFactorization:
     def test_equality_and_hash(self):
         assert CycloFactorization({2: 1, 3: 2}) == CycloFactorization({3: 2, 2: 1})
         assert hash(CycloFactorization({2: 1})) == hash(CycloFactorization({2: 1}))
+        assert CycloFactorization({2: 1}) != {2: 1}
+        with pytest.raises(AttributeError, match="CycloFactorization is immutable"):
+            CycloFactorization({2: 1}).factors = {}
 
 
 class TestFactorIntoCyclotomics:

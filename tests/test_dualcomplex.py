@@ -1,7 +1,11 @@
 import itertools
 import json
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -204,6 +208,29 @@ class TestHomology:
 
     def test_wedge_of_spheres(self):
         assert wedge_of_tetrahedra().homology_dims() == (1, 0, 2)
+
+    def test_weights_stay_integers(self):
+        # row e reads 2 z[t1] + 3 z[t2]: neither coefficient divides the other, so the
+        # row is ranked at the end, and no Fraction (nor the fractions module) is needed
+        one_vertex = (
+            ["v"],
+            {"e": ("v", "v"), "f": ("v", "v")},
+            {"t1": (("v", "v", "v"), ("e", "e", "f"), (1, 1, 1)), "t2": (("v", "v", "v"), ("e", "e", "e"), (1, 1, 1))},
+        )
+        raws = [one_vertex] + [oracles.random_glued_complex(random.Random(seed)) for seed in (6568, 9473)]
+        script = (  # oracles imports fractions, so the child builds the complexes from literals
+            "import json, sys\n"
+            "from k3degen.dualcomplex import DeltaComplex\n"
+            f"dims = [DeltaComplex(*raw).homology_dims() for raw in {raws!r}]\n"
+            "print(json.dumps([dims, 'fractions' in sys.modules]))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+        dims, loaded = json.loads(proc.stdout)
+        assert dims[0] == [1, 0, 0]
+        assert dims == [list(oracles.raw_homology(*raw)) for raw in raws]
+        assert not loaded
 
     def test_euler_identity_random(self):
         rng = random.Random(101)
@@ -418,8 +445,9 @@ class TestGeneratedSurfaces:
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(st.randoms(use_true_random=False))
-    @example(random.Random(6568))  # both reach the final rank with Fraction
-    @example(random.Random(9473))  # coefficients whose exact values decide it
+    @example(random.Random(6568))  # both have a row a z[r1] + b z[r2]
+    @example(random.Random(9473))  # with a | b but not b | a
+    @example(random.Random(1078))  # a two-term row whose coefficients divide neither way
     def test_glued_homology_matches_oracle(self, rng):
         # edges on three or more sides leave d2 rows for the final rank
         raw = oracles.random_glued_complex(rng)

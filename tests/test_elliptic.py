@@ -22,7 +22,8 @@ class TestKodairaFiber:
             assert str(KodairaFiber.parse(label)) == label
 
     def test_parse_errors(self):
-        for label in ("I0", "V", "I-1", "II**", ""):
+        # labels are read as typed: no space, non-ASCII digit or leading zero is coerced
+        for label in ("I0", "V", "I-1", "II**", "", " I1 ", "I1\n", "I\u0663", "I01", "I00*", " II"):
             with pytest.raises(ValueError):
                 KodairaFiber.parse(label)
 

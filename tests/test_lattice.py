@@ -45,6 +45,10 @@ class TestNamedLattices:
         assert u.det() == -1
         assert u.signature() == (1, 1, 0)
         assert u.is_even()
+        assert u == Lattice(((0, 1), (1, 0))) and hash(u) == hash(Lattice(((0, 1), (1, 0))))
+        assert u != u.gram
+        with pytest.raises(AttributeError, match="Lattice is immutable"):
+            u.gram = ()
 
     def test_a_series(self):
         assert root_lattice_a(1).gram == ((-2,),)
