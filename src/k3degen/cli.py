@@ -18,7 +18,7 @@ import sys
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from . import autorders, corpus, degeneration, lattice
-from .cyclotomic import NotCyclotomicProduct, bounded_orders
+from .cyclotomic import bounded_orders
 from .dualcomplex import (
     ComplexAutomorphism,
     DeltaComplex,
@@ -34,8 +34,7 @@ EXIT_OK = 0
 EXIT_BAD_INPUT = 1
 EXIT_CONSTRAINT = 2
 
-_CONSTRAINT_ERRORS = (NotKulikov, NotCyclotomicProduct, NonOrientable, ImpossibleConfiguration)
-_INPUT_ERRORS = (ValueError, KeyError, TypeError, InvalidComplex, MissingBetti, OSError, json.JSONDecodeError)
+_INPUT_ERRORS = (ValueError, InvalidComplex, MissingBetti, OSError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -182,34 +181,32 @@ def _emit(command: str, inputs, result) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _summary(text: str) -> None:
-    print(text, file=sys.stderr)
+def _refusal(exc: Exception) -> dict:
+    """The result for valid input that violates a mathematical constraint."""
+    return {"error": {"constraint": type(exc).__name__, "detail": str(exc)}}
 
 
 # -- subcommands -----------------------------------------------------------
+# Each handler returns (input echo, result, summary, exit code) and prints nothing.
 
 
-def _cmd_classify_fiber(args) -> int:
+def _cmd_classify_fiber(args):
     surface = SNCSurface.from_json_dict(_read_payload(args.payload))
     inputs = _echo_surface(surface)
     try:
         t, check = crosscheck(surface)
     except NotKulikov as exc:
-        _emit("classify-fiber", inputs, {"error": {"constraint": "NotKulikov", "detail": str(exc)}})
-        _summary(f"not a Kulikov fiber: {exc}")
-        return EXIT_CONSTRAINT
+        return inputs, _refusal(exc), f"not a Kulikov fiber: {exc}", EXIT_CONSTRAINT
     result = {"type": str(t), "grw": list(grw_dims(t)), "crosscheck": check}
     if None not in surface.b2:
         grid = e1_page(surface)
         result["e1"] = [
             {"p": p, "dims": [grid[(p, q)] for q in range(5)]} for p in range(-2, 3)
         ]
-    _emit("classify-fiber", inputs, result)
-    _summary(f"Type {t}, grw = {result['grw']}")
-    return EXIT_OK
+    return inputs, result, f"Type {t}, grw = {result['grw']}", EXIT_OK
 
 
-def _cmd_allowed_types(args) -> int:
+def _cmd_allowed_types(args):
     if args.m is None and args.field is None and args.height is None:
         raise ValueError("provide at least one of --m, --field, --height")
     height = args.height
@@ -220,15 +217,14 @@ def _cmd_allowed_types(args) -> int:
     field = degeneration.HodgeFieldClass(args.field) if args.field else None
     decision = degeneration.combine(m=args.m, e=field, h=height, residue_char=args.char)
     inputs = {"m": args.m, "field": args.field, "height": args.height, "char": args.char}
-    _emit("allowed-types", inputs, decision.to_json_dict())
     if decision.outside_hypotheses:
-        _summary("outside theorem hypotheses")
+        summary = "outside theorem hypotheses"
     else:
-        _summary(f"allowed types: {sorted(str(t) for t in decision.allowed)}")
-    return EXIT_OK
+        summary = f"allowed types: {sorted(str(t) for t in decision.allowed)}"
+    return inputs, decision.to_json_dict(), summary, EXIT_OK
 
 
-def _cmd_charpoly(args) -> int:
+def _cmd_charpoly(args):
     if args.setting != "char0" and args.p is None:
         raise ValueError(f"setting {args.setting!r} requires --p")
     setting = autorders.CharSetting(args.setting, args.p)
@@ -245,64 +241,52 @@ def _cmd_charpoly(args) -> int:
             row["note"] = "multi-factor candidate, not excluded in the finite-height case"
         rows.append(row)
     inputs = {"m": args.m, "setting": args.setting, "p": args.p, "t_rank": args.t_rank}
-    _emit("charpoly", inputs, {"candidates": rows})
-    _summary(f"{len(rows)} admissible characteristic polynomial(s)")
-    return EXIT_OK
+    return inputs, {"candidates": rows}, f"{len(rows)} admissible characteristic polynomial(s)", EXIT_OK
 
 
-def _cmd_orders(args) -> int:
+def _cmd_orders(args):
     if (args.max_t is None) == (args.phi_bound is None):
         raise ValueError("provide exactly one of --max-t or --phi-bound")
     if args.max_t is not None:
-        result = {"prime_powers": autorders.wild_prime_powers(args.max_t)}
-        inputs = {"max_t": args.max_t}
-        _summary(f"{len(result['prime_powers'])} prime powers")
-    else:
-        orders = bounded_orders(args.phi_bound)
-        result = {"orders": orders, "max": max(orders)}
-        inputs = {"phi_bound": args.phi_bound}
-        _summary(f"{len(orders)} orders, max {max(orders)}")
-    _emit("orders", inputs, result)
-    return EXIT_OK
+        powers = autorders.wild_prime_powers(args.max_t)
+        return {"max_t": args.max_t}, {"prime_powers": powers}, f"{len(powers)} prime powers", EXIT_OK
+    orders = bounded_orders(args.phi_bound)
+    result = {"orders": orders, "max": max(orders)}
+    return {"phi_bound": args.phi_bound}, result, f"{len(orders)} orders, max {max(orders)}", EXIT_OK
 
 
-def _cmd_ss_check(args) -> int:
+def _cmd_ss_check(args):
     sigma0 = autorders.nygaard_sigma0(args.m, args.p)
     result = {"sigma0": sigma0, "supersingular_possible": bool(sigma0)}
-    _emit("ss-check", {"m": args.m, "p": args.p}, result)
-    _summary(
-        f"order {args.m} in characteristic {args.p}: "
-        + (f"possible for sigma0 in {sigma0}" if sigma0 else "no supersingular surface admits it")
+    summary = f"order {args.m} in characteristic {args.p}: " + (
+        f"possible for sigma0 in {sigma0}" if sigma0 else "no supersingular surface admits it"
     )
-    return EXIT_OK
+    return {"m": args.m, "p": args.p}, result, summary, EXIT_OK
 
 
-def _cmd_orient(args) -> int:
+def _cmd_orient(args):
     payload = _read_payload(args.payload)
     complex_ = DeltaComplex.from_json_dict(payload)
     inputs = complex_.to_json_dict()
     try:
         orientation = orient(complex_)
     except NonOrientable as exc:
-        _emit("orient", inputs, {"error": {"constraint": "NonOrientable", "detail": str(exc)}})
-        _summary(f"non-orientable: {exc}")
-        return EXIT_CONSTRAINT
+        return inputs, _refusal(exc), f"non-orientable: {exc}", EXIT_CONSTRAINT
     result = {
         "orientable": True,
         "orientation": [
             {"triangle": tid, "sign": orientation[tid]} for tid in sorted(orientation, key=str)
         ],
     }
-    if "automorphism" in payload:
-        g = ComplexAutomorphism.from_json_dict(complex_, payload["automorphism"])
-        result["action"] = orientation_action(complex_, g)
-        inputs = {"complex": inputs, "automorphism": payload["automorphism"]}
-    _emit("orient", inputs, result)
-    _summary("orientable" + (f", action {result['action']:+d}" if "action" in result else ""))
-    return EXIT_OK
+    if "automorphism" not in payload:
+        return inputs, result, "orientable", EXIT_OK
+    g = ComplexAutomorphism.from_json_dict(complex_, payload["automorphism"])
+    result["action"] = orientation_action(complex_, g)
+    maps = {"vertex_map": g.vertex_map, "edge_map": g.edge_map, "triangle_map": g.triangle_map}
+    return {"complex": inputs, "automorphism": maps}, result, f"orientable, action {result['action']:+d}", EXIT_OK
 
 
-def _cmd_euler(args) -> int:
+def _cmd_euler(args):
     if args.characteristic is not None and not autorders.is_prime(args.characteristic):
         raise ValueError(f"characteristic must be a prime, got {args.characteristic}")
     payload = _read_payload(args.payload)
@@ -312,9 +296,7 @@ def _cmd_euler(args) -> int:
     try:
         rank = config.trivial_lattice_rank()
     except ImpossibleConfiguration as exc:
-        _emit("euler", inputs, {"error": {"constraint": "ImpossibleConfiguration", "detail": str(exc)}})
-        _summary(str(exc))
-        return EXIT_CONSTRAINT
+        return inputs, _refusal(exc), str(exc), EXIT_CONSTRAINT
     result = {
         "euler_sum": config.euler_sum(),
         "is_k3": config.check_k3(),
@@ -324,12 +306,10 @@ def _cmd_euler(args) -> int:
         result["warning"] = (
             "tame arithmetic only: wild fibers in characteristic <= 3 can contribute more"
         )
-    _emit("euler", inputs, result)
-    _summary(f"Euler sum {result['euler_sum']}, trivial lattice rank {rank}")
-    return EXIT_OK
+    return inputs, result, f"Euler sum {result['euler_sum']}, trivial lattice rank {rank}", EXIT_OK
 
 
-def _cmd_lattice(args) -> int:
+def _cmd_lattice(args):
     lat = lattice.direct_sum(*(lattice.standard_lattice(n) for n in args.names))
     if args.rescale is not None:
         lat = lattice.rescale(lat, args.rescale)
@@ -340,12 +320,11 @@ def _cmd_lattice(args) -> int:
         "signature": list(lat.signature()),
         "even": lat.is_even(),
     }
-    _emit("lattice", {"names": args.names, "rescale": args.rescale}, result)
-    _summary(f"rank {result['rank']}, det {result['det']}, signature {result['signature']}")
-    return EXIT_OK
+    summary = f"rank {result['rank']}, det {result['det']}, signature {result['signature']}"
+    return {"names": args.names, "rescale": args.rescale}, result, summary, EXIT_OK
 
 
-def _cmd_fixtures(args) -> int:
+def _cmd_fixtures(args):
     directory = args.dir if args.dir is not None else corpus.default_corpus_dir()
     results = corpus.run_corpus(directory)
     passed = sum(1 for r in results if r.passed)
@@ -357,11 +336,10 @@ def _cmd_fixtures(args) -> int:
             {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
         ],
     }
-    _emit("fixtures", {"directory": str(directory)}, result)
-    for r in results:
-        _summary(f"{'PASS' if r.passed else 'FAIL'}  {r.name}: {r.detail}")
-    _summary(f"{passed}/{len(results)} fixtures passed")
-    return EXIT_OK if passed == len(results) else EXIT_CONSTRAINT
+    lines = [f"{'PASS' if r.passed else 'FAIL'}  {r.name}: {r.detail}" for r in results]
+    summary = "\n".join([*lines, f"{passed}/{len(results)} fixtures passed"])
+    code = EXIT_OK if passed == len(results) else EXIT_CONSTRAINT
+    return {"directory": str(directory)}, result, summary, code
 
 
 def _arg(*flags, **options):
@@ -441,21 +419,23 @@ def _command_parser(name: str) -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
+    """Run one subcommand: the report on stdout, the summary or the error on stderr; return the exit code."""
     try:
         if argv and argv[0] in _COMMANDS:
-            args = _command_parser(argv[0]).parse_args(argv[1:])
+            command, args = argv[0], _command_parser(argv[0]).parse_args(argv[1:])
         else:
             args = build_parser().parse_args(argv)
+            command = args.subcommand
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_BAD_INPUT
     try:
-        return args.func(args)
-    except _CONSTRAINT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONSTRAINT
+        inputs, result, summary, code = args.func(args)
+        _emit(command, inputs, result)  # an int in the report too long for str() is a ValueError
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    print(summary, file=sys.stderr)
+    return code
 
 
 def main() -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+from types import MappingProxyType
 
 from ._record import Record
 
@@ -193,7 +194,7 @@ class CycloFactorization(Record):
             if mult < 1:
                 raise ValueError(f"multiplicity must be positive, got {mult}")
             cleaned[m] = mult
-        self._set(cleaned)
+        self._set(MappingProxyType(cleaned))  # read-only, so the value and hash stay fixed
 
     def expand(self) -> IntPolynomial:
         """Multiply the factors back out to an integer polynomial."""
@@ -207,7 +208,7 @@ class CycloFactorization(Record):
     def total_degree(self) -> int:
         return sum(mult * euler_phi(m) for m, mult in self.factors.items())
 
-    def __hash__(self):  # the field is a dict, which Record cannot hash
+    def __hash__(self):  # the field is a mapping, which Record cannot hash
         return hash(tuple(sorted(self.factors.items())))
 
     def __repr__(self):

@@ -520,6 +520,9 @@ class ComplexAutomorphism:
         for name, mapping in zip(names, maps):
             if type(mapping) is not dict:
                 raise InvalidComplex(f"{name}_map must be a JSON object, got {mapping!r}")
+            for key, image in mapping.items():
+                if type(image) is not str:
+                    raise InvalidComplex(f"{name}_map maps {key!r} to {image!r}, not to a JSON string")
         for name, ids in zip(names, (complex.vertices, complex._eids, complex._tids)):
             bad = next((x for x in ids if type(x) is not str), None)
             if bad is not None:

@@ -55,8 +55,12 @@ class KodairaFiber(Record):
             return cls(label)
         match = _FIBER_RE.fullmatch(label)
         if match:
-            n = int(match.group(1))
-            return cls("I*" if match.group(2) else "I", n)
+            try:
+                n = int(match.group(1))
+            except ValueError:  # more digits than int() converts
+                pass
+            else:
+                return cls("I*" if match.group(2) else "I", n)
         raise ValueError(f"cannot parse Kodaira fiber label {label!r}")
 
     def __str__(self):

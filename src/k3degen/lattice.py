@@ -98,6 +98,8 @@ def standard_lattice(name: str) -> Lattice:
         digits = key[2:-1] if key[1:2] == "(" and key.endswith(")") else key[1:]
         # n is written as a JSON integer: ASCII digits without a leading zero
         if digits.isascii() and digits.isdigit() and (digits[0] != "0" or digits == "0"):
+            if len(digits) > len(str(MAX_RANK)):  # above the cap, and maybe more digits than int() converts
+                raise ValueError(f"A(n) requires n <= {MAX_RANK}, got {name!r}")
             return root_lattice_a(int(digits))
     raise ValueError(f"unknown lattice name: {name!r}")
 

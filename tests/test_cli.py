@@ -206,6 +206,12 @@ class TestClassifyFiber:
         code, out, err = invoke(capsys, ["classify-fiber", payload_file(tmp_path, "fiber.json", payload)])
         assert (code, out, err) == (1, "", "error: id {} is not a JSON string or integer\n")
 
+    def test_report_too_long_to_print_is_bad_input(self, capsys, tmp_path):
+        # each b2 has 4300 digits, the most the decoder reads; the E1 sums of them have more than str() prints
+        big = {**TETRA_SURFACE, "components": [{**c, "b2": 10**4300 - 1} for c in TETRA_SURFACE["components"]]}
+        code, out, err = invoke(capsys, ["classify-fiber", payload_file(tmp_path, "big.json", big)])
+        assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
+
     def test_deterministic_output(self, capsys, tmp_path):
         path = payload_file(tmp_path, "tetra.json", TETRA_SURFACE)
         _, first, _ = invoke(capsys, ["classify-fiber", path])
@@ -483,6 +489,24 @@ class TestOrientCommand:
         path = payload_file(tmp_path, "pairs.json", {**payload, "automorphism": [["A", "B"]]})
         code, out, err = invoke(capsys, ["orient", path])
         assert (code, out) == (1, "") and err.startswith("error: malformed automorphism payload: ")
+        # an image is an id, so it must be a JSON string; an array or object image is not even hashable
+        for key, mapping in payload["automorphism"].items():
+            first = min(mapping)
+            for image in ([], {}, None):
+                changed = {**payload, "automorphism": {**payload["automorphism"], key: {**mapping, first: image}}}
+                code, out, err = invoke(capsys, ["orient", payload_file(tmp_path, "image.json", changed)])
+                assert (code, out, err) == (1, "", f"error: {key} maps {first!r} to {image!r}, not to a JSON string\n")
+
+    def test_echo_holds_the_three_maps_only(self, capsys, tmp_path):
+        # an extra key is not echoed, so its nesting cannot exhaust the report printer
+        payload = json.loads((GOLDEN / "tetrahedron_orient.json").read_text())
+        extra = 0
+        for _ in range(600):
+            extra = [extra]
+        deep = {**payload, "automorphism": {**payload["automorphism"], "extra": extra}}
+        plain = invoke(capsys, ["orient", payload_file(tmp_path, "plain.json", payload)])
+        assert plain[0] == 0
+        assert invoke(capsys, ["orient", payload_file(tmp_path, "deep.json", deep)]) == plain
 
     def test_repeated_edge_or_triangle_is_bad_input(self, capsys, tmp_path):
         tetra = {
@@ -642,6 +666,12 @@ class TestEulerCommand:
         code, out, err = invoke(capsys, ["euler", path])
         assert (code, out, err) == (1, "", f"error: cannot parse Kodaira fiber label {label!r}\n")
 
+    def test_label_with_a_huge_index_is_named(self, capsys, tmp_path):
+        label = "I" + "1" * 5000
+        code, out, err = invoke(capsys, ["euler", payload_file(tmp_path, "fibers.json", [label, "II"])])
+        assert (code, out, err) == (1, "", f"error: cannot parse Kodaira fiber label {label!r}\n")
+        assert "set_int_max_str_digits" not in err
+
     def test_non_prime_characteristic_is_bad_input(self, capsys, tmp_path):
         path = payload_file(tmp_path, "fibers.json", {"fibers": {"II": 12}})
         for char in ("-5", "0", "4"):
@@ -700,6 +730,10 @@ class TestLatticeCommand:
         for names in (["U", "A199"], ["A201"]):
             code, _, err = invoke(capsys, ["lattice", *names])
             assert code == 1 and "200" in err
+        name = "A" + "1" * 5000
+        code, out, err = invoke(capsys, ["lattice", name])
+        assert (code, out, err) == (1, "", f"error: A(n) requires n <= 200, got {name!r}\n")
+        assert "set_int_max_str_digits" not in err
 
 
 class TestFixturesCommand:
@@ -740,6 +774,52 @@ class TestFixturesCommand:
 
     def test_missing_directory_is_bad_input(self, capsys, tmp_path):
         assert invoke(capsys, ["fixtures", "--dir", str(tmp_path / "nope")])[0] == 1
+
+
+def valid_argv(tmp_path, name):
+    """One argv that the subcommand answers, with its payload written under tmp_path."""
+    return {
+        "classify-fiber": ["classify-fiber", payload_file(tmp_path, "tetra.json", TETRA_SURFACE)],
+        "allowed-types": ["allowed-types", "--m", "3"],
+        "charpoly": ["charpoly", "--m", "42", "--t-rank", "12"],
+        "orders": ["orders", "--phi-bound", "30"],
+        "ss-check": ["ss-check", "--m", "5", "--p", "7"],
+        "orient": ["orient", str(GOLDEN / "tetrahedron_orient.json")],
+        "euler": ["euler", payload_file(tmp_path, "fibers.json", {"fibers": {"II": 1, "I1": 22}})],
+        "lattice": ["lattice", "U", "E8"],
+        "fixtures": ["fixtures"],
+    }[name]
+
+
+class TestHandlers:
+    """A handler computes and returns; run alone prints the report and maps exceptions to exit codes."""
+
+    @pytest.mark.parametrize("name", sorted(cli._COMMANDS))
+    def test_handler_returns_the_report_and_prints_nothing(self, capsys, tmp_path, name):
+        argv = valid_argv(tmp_path, name)
+        args = cli._command_parser(name).parse_args(argv[1:])
+        returned = args.func(args)
+        assert capsys.readouterr() == ("", "")
+        assert type(returned) is tuple and len(returned) == 4
+        _, result, summary, exit_code = returned
+        code, out, err = invoke(capsys, argv)
+        assert code == exit_code and err == summary + "\n"
+        report = json.loads(out)
+        assert report["command"] == name and report["result"] == json.loads(json.dumps(result))
+
+    @pytest.mark.parametrize("name", sorted(cli._COMMANDS))
+    def test_a_fault_in_a_handler_is_not_bad_input(self, tmp_path, name):
+        # only the input errors run maps exit 1; any other exception is a fault and propagates
+        def faulty(args):
+            raise TypeError("a fault in the handler")
+
+        parser = cli._command_parser(name)
+        parser.set_defaults(func=faulty)
+        try:
+            with pytest.raises(TypeError, match="a fault in the handler"):
+                run(valid_argv(tmp_path, name))
+        finally:
+            parser.set_defaults(func=cli._COMMANDS[name][1])
 
 
 class TestColdStart:

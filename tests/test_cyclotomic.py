@@ -175,6 +175,8 @@ class TestCycloFactorization:
         assert CycloFactorization({2: 1}) != {2: 1}
         with pytest.raises(AttributeError, match="CycloFactorization is immutable"):
             CycloFactorization({2: 1}).factors = {}
+        with pytest.raises(TypeError):
+            CycloFactorization({2: 1}).factors[3] = 1
 
 
 class TestFactorIntoCyclotomics:
