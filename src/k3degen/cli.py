@@ -1,9 +1,10 @@
 """Command-line front end: thin JSON adapters over the library.
 
-Exit codes: 0 success, 1 invalid input, 2 valid input whose mathematical
-constraint is violated (non-Kulikov fiber, non-cyclotomic factor,
-non-orientable complex, impossible fiber configuration). Reports are JSON
-on stdout with sorted keys; diagnostics go to stderr.
+Exit codes: 0 success, 1 invalid input, 2 valid input that violates a
+mathematical constraint (fiber matches no Kulikov pattern, complex is
+non-orientable, fiber configuration cannot exist on a K3) or a corpus
+fixture that fails. Reports are JSON on stdout with sorted keys;
+diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -168,11 +169,26 @@ def _echo_surface(surface: SNCSurface) -> str:
     return f"{{\n    {body}\n  }}"
 
 
+def _too_long(result: dict) -> ValueError:
+    """The input error for a result holding an int with more digits than str() prints:
+    it names the first such field, in report order."""
+    for field in sorted(result):
+        try:
+            _pretty(result[field])
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            return ValueError(f"result field {field} has an integer of more than {limit} digits, too long to print")
+
+
 def _emit(command: str, inputs, result) -> None:
     """Print the report; inputs is a JSON value, or its text as _pretty(inputs, 1) prints it."""
     echo = inputs if type(inputs) is str else _pretty(inputs, 1)
+    try:
+        body = _pretty(result, 1)
+    except ValueError:  # an int with more digits than str() prints
+        raise _too_long(result) from None
     command = encode_basestring_ascii(command)
-    report = f'{{\n  "command": {command},\n  "input": {echo},\n  "result": {_pretty(result, 1)}\n}}'
+    report = f'{{\n  "command": {command},\n  "input": {echo},\n  "result": {body}\n}}'
     try:
         print(report, flush=True)
     except BrokenPipeError:  # the reader closed stdout early (k3degen ... | head): not bad input
@@ -212,8 +228,11 @@ def _cmd_allowed_types(args):
     height = args.height
     if height in ("inf", "infinite"):
         height = degeneration.INFINITE_HEIGHT
-    elif height is not None and _INT_LITERAL.fullmatch(height):
-        height = int(height)
+    elif height is not None:
+        try:
+            height = _int_literal(height)
+        except argparse.ArgumentTypeError:  # not an int that int() converts: refused as typed below
+            pass
     field = degeneration.HodgeFieldClass(args.field) if args.field else None
     decision = degeneration.combine(m=args.m, e=field, h=height, residue_char=args.char)
     inputs = {"m": args.m, "field": args.field, "height": args.height, "char": args.char}
@@ -306,7 +325,11 @@ def _cmd_euler(args):
         result["warning"] = (
             "tame arithmetic only: wild fibers in characteristic <= 3 can contribute more"
         )
-    return inputs, result, f"Euler sum {result['euler_sum']}, trivial lattice rank {rank}", EXIT_OK
+    try:
+        summary = f"Euler sum {result['euler_sum']}, trivial lattice rank {rank}"
+    except ValueError:  # an Euler sum with more digits than str() prints
+        raise _too_long(result) from None
+    return inputs, result, summary, EXIT_OK
 
 
 def _cmd_lattice(args):
@@ -320,7 +343,10 @@ def _cmd_lattice(args):
         "signature": list(lat.signature()),
         "even": lat.is_even(),
     }
-    summary = f"rank {result['rank']}, det {result['det']}, signature {result['signature']}"
+    try:
+        summary = f"rank {result['rank']}, det {result['det']}, signature {result['signature']}"
+    except ValueError:  # a det with more digits than str() prints
+        raise _too_long(result) from None
     return {"names": args.names, "rescale": args.rescale}, result, summary, EXIT_OK
 
 
@@ -418,11 +444,77 @@ def _command_parser(name: str) -> argparse.ArgumentParser:
     return _add_arguments(_Parser(prog=f"k3degen {name}"), name)
 
 
+@functools.cache
+def _plain_table(name: str):
+    """What _read_plain needs of one subcommand, from the table its parser is built from:
+    each option string -> (dest, type, choices), the required dests, the positional's
+    (dest, nargs) or None (no command takes two), and the namespace of defaults."""
+    _, handler, arguments = _COMMANDS[name]
+    options, required, positional, defaults = {}, set(), None, {"func": handler}
+    for flags, spec in arguments:
+        if not flags[0].startswith("-"):
+            positional = flags[0], spec.get("nargs")
+            continue
+        dest = spec.get("dest", flags[0].lstrip("-").replace("-", "_"))
+        options[flags[0]] = dest, spec.get("type"), spec.get("choices")
+        if spec.get("required"):
+            required.add(dest)
+        defaults[dest] = spec.get("default")
+    return options, required, positional, defaults
+
+
+def _read_plain(name: str, argv):
+    """The namespace _command_parser(name).parse_args(argv) returns, read without argparse,
+    or None for any argv that is not plain, which argparse then reads.
+
+    Plain: each option is one of the command's option strings in full, given once, with
+    a value that is non-empty, does not start with -, and passes the option's type and
+    choices; the positionals are one contiguous run of non-empty words not starting
+    with -, as many as the command takes; every required option is given.
+    """
+    options, required, positional, defaults = _plain_table(name)
+    namespace, given, words, closed = dict(defaults), set(), [], False
+    tokens = iter(argv)
+    for token in tokens:
+        if token in options:
+            dest, convert, choices = options[token]
+            value = next(tokens, "")
+            if dest in given or not value or value[0] == "-":
+                return None
+            if convert is not None:
+                try:
+                    value = convert(value)
+                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                    return None
+            if choices is not None and value not in choices:
+                return None
+            given.add(dest)
+            namespace[dest] = value
+            closed = bool(words)
+        elif closed or not token or token[0] == "-":
+            return None
+        else:
+            words.append(token)
+    if not required <= given:
+        return None
+    if positional is None:
+        if words:
+            return None
+    else:
+        dest, nargs = positional
+        if not words or (len(words) > 1 and nargs != "+"):
+            return None
+        namespace[dest] = words if nargs == "+" else words[0]
+    return argparse.Namespace(**namespace)
+
+
 def run(argv) -> int:
     """Run one subcommand: the report on stdout, the summary or the error on stderr; return the exit code."""
     try:
         if argv and argv[0] in _COMMANDS:
-            command, args = argv[0], _command_parser(argv[0]).parse_args(argv[1:])
+            command, args = argv[0], _read_plain(argv[0], argv[1:])
+            if args is None:
+                args = _command_parser(command).parse_args(argv[1:])
         else:
             args = build_parser().parse_args(argv)
             command = args.subcommand
@@ -430,7 +522,7 @@ def run(argv) -> int:
         return exc.code if exc.code is not None else EXIT_BAD_INPUT
     try:
         inputs, result, summary, code = args.func(args)
-        _emit(command, inputs, result)  # an int in the report too long for str() is a ValueError
+        _emit(command, inputs, result)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -10,6 +10,7 @@ one; wild fibers in characteristic 2 or 3 can contribute more.
 from __future__ import annotations
 
 import re
+import sys
 from collections import Counter
 
 from ._record import Record
@@ -135,7 +136,9 @@ class FiberConfiguration:
         """
         rank = 2 + sum((component_count(f) - 1) * count for f, count in self.fibers.items())
         if rank > 22:
-            raise ImpossibleConfiguration(
-                f"trivial lattice rank {rank} exceeds the K3 bound 22"
-            )
+            try:
+                shown = str(rank)
+            except ValueError:  # more digits than str() prints
+                shown = f"of more than {sys.get_int_max_str_digits()} digits"
+            raise ImpossibleConfiguration(f"trivial lattice rank {shown} exceeds the K3 bound 22")
         return rank

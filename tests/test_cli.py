@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from k3degen.degeneration import HodgeFieldClass
 from k3degen.dualcomplex import DeltaComplex
 from k3degen.sncfiber import KINDS, SNCSurface
 from test_dualcomplex import generated_complexes
+from test_workload_digests import SEEDS, _workloads
 
 import oracles
 
@@ -207,10 +209,27 @@ class TestClassifyFiber:
         assert (code, out, err) == (1, "", "error: id {} is not a JSON string or integer\n")
 
     def test_report_too_long_to_print_is_bad_input(self, capsys, tmp_path):
+        limit = sys.get_int_max_str_digits()
         # each b2 has 4300 digits, the most the decoder reads; the E1 sums of them have more than str() prints
         big = {**TETRA_SURFACE, "components": [{**c, "b2": 10**4300 - 1} for c in TETRA_SURFACE["components"]]}
         code, out, err = invoke(capsys, ["classify-fiber", payload_file(tmp_path, "big.json", big)])
-        assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
+        assert (code, out) == (1, "")
+        assert err == f"error: result field e1 has an integer of more than {limit} digits, too long to print\n"
+        # the det of E8 scaled by 10^4000 has 32001 digits, and the summary prints it first
+        code, out, err = invoke(capsys, ["lattice", "E8", "--rescale", "1" + "0" * 4000])
+        assert (code, out) == (1, "")
+        assert err == f"error: result field det has an integer of more than {limit} digits, too long to print\n"
+        # 9·10^4299 fibers of type II keep the rank at 2, and their Euler sum has 4301 digits
+        fibers = payload_file(tmp_path, "fibers.json", {"fibers": {"II": 9 * 10**4299}})
+        code, out, err = invoke(capsys, ["euler", fibers])
+        assert (code, out) == (1, "")
+        assert err == f"error: result field euler_sum has an integer of more than {limit} digits, too long to print\n"
+        # a rank too long to print is still refused, and its detail does not spell it out
+        fibers = payload_file(tmp_path, "fibers.json", {"fibers": {"I" + "9" * 400: 10**4000}})
+        code, out, err = invoke(capsys, ["euler", fibers])
+        detail = f"trivial lattice rank of more than {limit} digits exceeds the K3 bound 22"
+        assert (code, err) == (2, detail + "\n")
+        assert json.loads(out)["result"] == {"error": {"constraint": "ImpossibleConfiguration", "detail": detail}}
 
     def test_deterministic_output(self, capsys, tmp_path):
         path = payload_file(tmp_path, "tetra.json", TETRA_SURFACE)
@@ -284,7 +303,8 @@ class TestIntegerOptions:
         with pytest.raises(argparse.ArgumentTypeError, match="invalid int value: '1{5000}'"):
             _int_literal("1" * 5000)  # more digits than int() converts
 
-    @pytest.mark.parametrize("height", [" 2", "2 ", "+2", "02", "\u0662", "2_0"])
+    # the last has more digits than int() converts
+    @pytest.mark.parametrize("height", [" 2", "2 ", "+2", "02", "\u0662", "2_0", pytest.param("1" + "0" * 5000, id="10**5000")])
     def test_height_is_infinite_or_a_json_integer(self, capsys, height):
         code, out, err = invoke(capsys, ["allowed-types", "--height", height])
         assert (code, out, err) == (1, "", f"error: height must be an integer in 1..10 or infinite, got {height!r}\n")
@@ -791,6 +811,16 @@ def valid_argv(tmp_path, name):
     }[name]
 
 
+def argparse_only(argv):
+    """argv respelled so that the plain reader declines it and argparse reads it: the first
+    option as --option=value, else -- before the positionals, else the bundled --dir."""
+    if len(argv) > 2 and argv[1].startswith("--"):
+        return [argv[0], f"{argv[1]}={argv[2]}", *argv[3:]]
+    if len(argv) > 1:
+        return [argv[0], "--", *argv[1:]]
+    return [*argv, f"--dir={corpus.default_corpus_dir()}"]
+
+
 class TestHandlers:
     """A handler computes and returns; run alone prints the report and maps exceptions to exit codes."""
 
@@ -809,17 +839,26 @@ class TestHandlers:
 
     @pytest.mark.parametrize("name", sorted(cli._COMMANDS))
     def test_a_fault_in_a_handler_is_not_bad_input(self, tmp_path, name):
-        # only the input errors run maps exit 1; any other exception is a fault and propagates
+        # only the input errors run maps exit 1; any other exception is a fault and propagates,
+        # whether the plain reader or argparse read the argv
         def faulty(args):
             raise TypeError("a fault in the handler")
 
-        parser = cli._command_parser(name)
-        parser.set_defaults(func=faulty)
+        plain = valid_argv(tmp_path, name)
+        spelled = argparse_only(plain)
+        assert cli._read_plain(name, plain[1:]) is not None and cli._read_plain(name, spelled[1:]) is None
+        entry = cli._COMMANDS[name]
+        cli._COMMANDS[name] = (entry[0], faulty, entry[2])
         try:
-            with pytest.raises(TypeError, match="a fault in the handler"):
-                run(valid_argv(tmp_path, name))
+            for readers in (cli._plain_table, cli._command_parser):
+                readers.cache_clear()
+            for argv in (plain, spelled):
+                with pytest.raises(TypeError, match="a fault in the handler"):
+                    run(argv)
         finally:
-            parser.set_defaults(func=cli._COMMANDS[name][1])
+            cli._COMMANDS[name] = entry
+            for readers in (cli._plain_table, cli._command_parser):
+                readers.cache_clear()
 
 
 class TestColdStart:
@@ -851,7 +890,8 @@ class TestColdStart:
         assert json.loads(proc.stderr.splitlines()[-1]) == [[], 0, True, 0]
 
     def test_import_without_site_loads_no_importlib_resources(self):
-        # -S keeps site from preloading importlib.resources; -I ignores PYTHONPATH, so the child adds src itself
+        # -S keeps site from preloading importlib.resources; -I ignores PYTHONPATH, so the child adds src itself;
+        # -I also ignores PYTHONDONTWRITEBYTECODE, so -B keeps the child from writing bytecode into src
         script = (
             "import json, sys\n"
             f"sys.path.insert(0, {SRC!r})\n"
@@ -861,7 +901,7 @@ class TestColdStart:
             "code = run(['fixtures'])\n"
             "print(json.dumps([loaded, code]), file=sys.stderr)\n"
         )
-        proc = subprocess.run([sys.executable, "-I", "-S", "-c", script], capture_output=True, text=True, timeout=60)
+        proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", script], capture_output=True, text=True, timeout=60)
         result = json.loads(proc.stdout)["result"]
         assert (result["passed"], result["total"]) == (12, 12)
         assert json.loads(proc.stderr.splitlines()[-1]) == [False, 0]
@@ -872,13 +912,17 @@ class TestColdStart:
             "import json, sys\n"
             "from k3degen import cli\n"
             "code = cli.run(['orders', '--phi-bound', '3'])\n"
-            "print(json.dumps([code, cli.build_parser.cache_info().currsize]), file=sys.stderr)\n"
+            "built = [cli.build_parser.cache_info().currsize, cli._command_parser.cache_info().currsize]\n"
+            "cli.run(['orders', '--phi-bound=3'])\n"
+            "built.append(cli._command_parser.cache_info().currsize)\n"
+            "print(json.dumps([code, *built]), file=sys.stderr)\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, env=_src_env(), timeout=60
         )
-        assert json.loads(proc.stdout)["result"] == {"max": 6, "orders": [1, 2, 3, 4, 6]}
-        assert json.loads(proc.stderr.splitlines()[-1]) == [0, 0]
+        assert json.JSONDecoder().raw_decode(proc.stdout)[0]["result"] == {"max": 6, "orders": [1, 2, 3, 4, 6]}
+        # a plain argv builds no parser; one that only argparse reads builds that command's alone
+        assert json.loads(proc.stderr.splitlines()[-1]) == [0, 0, 0, 1]
 
 
 # every option of every subcommand, abbreviations, help, the separator and junk
@@ -901,6 +945,75 @@ def _parse(parser, argv):
             return vars(parser.parse_args(argv))
         except SystemExit as exc:
             return exc.code
+
+
+_WORDS = st.sampled_from(["U", "E8", "A3", "a(2)", "x.json", "char0", "rational", "7", "a b", "A3 "])
+
+
+@st.composite
+def plain_argv(draw):
+    """An argv as one subcommand's table entry declares it: each option at most once (a
+    required one always) with a value of its choices or an integer, the positionals in one
+    run among the options. Some values are negative, so the reader declines them."""
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    pairs, words = [], []
+    for flags, options in cli._COMMANDS[name][2]:
+        if not flags[0].startswith("-"):
+            words = draw(st.lists(_WORDS, min_size=1, max_size=3 if options.get("nargs") == "+" else 1))
+        elif options.get("required") or draw(st.booleans()):
+            if "choices" in options:
+                values = st.sampled_from(options["choices"])
+            else:
+                values = st.integers(-3, 10**6).map(str) if options.get("type") else _WORDS
+            pairs.append([flags[0], draw(values)])
+    pairs = draw(st.permutations(pairs))
+    at = draw(st.integers(0, len(pairs)))
+    return [name, *(t for pair in pairs[:at] for t in pair), *words, *(t for pair in pairs[at:] for t in pair)]
+
+
+class TestPlainReader:
+    """run reads a plain argv without argparse; whatever it reads, argparse reads the same way."""
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(dispatch_argv() | plain_argv())
+    @example(["lattice", "U", "--rescale", "2", "A3"])
+    @example(["lattice", "--rescale", "2", "U", "A3"])
+    @example(["euler", "--characteristic", "5", "x.json"])
+    @example(["charpoly", "--t-rank", "3", "--setting", "liftable", "--p", "5", "--m", "2"])
+    def test_reader_agrees_with_argparse(self, argv):
+        read = cli._read_plain(argv[0], argv[1:])
+        if read is not None:
+            assert vars(read) == _parse(cli._command_parser(argv[0]), argv[1:])
+
+    @pytest.mark.parametrize("argv", [
+        ["orders", "--ph", "3"],
+        ["orders", "--phi-bound=3"],
+        ["orders", "-h"],
+        ["lattice", "--", "U"],
+        ["orders", "--phi-bound", "3", "--phi-bound", "3"],
+        ["ss-check", "--m", "5"],
+        ["ss-check", "--m", "5", "--p", "1_0"],
+        ["charpoly", "--m", "1", "--t-rank", "2", "--setting", "char1"],
+        ["lattice", "U", "--rescale", "-1"],
+        ["lattice", "U", "--rescale", "2", "A3"],
+        ["euler", "x.json", "y.json"],
+        ["euler"],
+        ["fixtures", "x"],
+        ["fixtures", "--dir", ""],
+        ["classify-fiber", "-"],
+    ], ids=" ".join)
+    def test_anything_else_is_left_to_argparse(self, argv):
+        assert cli._read_plain(argv[0], argv[1:]) is None
+
+    def test_reader_reads_every_benchmark_argv(self):
+        workloads = _workloads()
+        for name in workloads.WORKLOADS:
+            for seed in SEEDS:
+                for op in workloads.build(name, seed, quick=False):
+                    argv = ["payload.json" if a == workloads.PAYLOAD else a for a in op.argv]
+                    read = cli._read_plain(argv[0], argv[1:])
+                    assert read is not None, argv
+                    assert vars(read) == _parse(cli._command_parser(argv[0]), argv[1:])
 
 
 class TestRepeatedOptions:
@@ -933,6 +1046,12 @@ class TestRepeatedOptions:
 
 
 class TestDispatch:
+    def test_help_lists_the_exit_codes_of_the_readme(self, capsys):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        codes = re.search(r"Exit codes: .*? fails\.", readme, re.S).group(0).replace("`", "")
+        assert run(["-h"]) == 0
+        assert " ".join(codes.split()) in " ".join(capsys.readouterr().out.split())
+
     def test_unknown_subcommand(self, capsys):
         assert invoke(capsys, ["no-such-command"])[0] == 1
 
