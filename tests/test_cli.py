@@ -755,6 +755,14 @@ class TestLatticeCommand:
         assert (code, out, err) == (1, "", f"error: A(n) requires n <= 200, got {name!r}\n")
         assert "set_int_max_str_digits" not in err
 
+    def test_rescaled_det_too_long_to_print_ends_in_bounded_time(self):
+        # the pivots of A50(10^1000) keep about 1000 digits; leading minors reach 50,000 digits
+        argv = [sys.executable, "-m", "k3degen.cli", "lattice", "A50", "--rescale", "1" + "0" * 1000]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=_src_env(), timeout=20)
+        limit = sys.get_int_max_str_digits()
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"error: result field det has an integer of more than {limit} digits, too long to print\n"
+
 
 class TestFixturesCommand:
     def test_bundled_corpus_passes(self, capsys):
@@ -871,7 +879,7 @@ class TestColdStart:
         assert json.loads(proc.stdout) == ["k3degen"]
 
     def test_import_loads_no_dataclasses_or_fractions(self):
-        # what importing the CLI adds to a fresh interpreter; fractions comes with the first inertia
+        # what importing the CLI adds to a fresh interpreter; fractions comes with the first lattice det or signature
         script = (
             "import gc, json, sys\n"
             "before = set(sys.modules)\n"

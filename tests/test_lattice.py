@@ -1,7 +1,11 @@
 import random
+import re
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from k3degen._linalg import symmetric_invariants
 from k3degen.lattice import (
     Lattice,
     direct_sum,
@@ -24,6 +28,33 @@ def random_symmetric(rng, n, lo=-6, hi=6):
     return m
 
 
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric integer matrices of rank 0..8, small or past 2**64, with
+    optionally an all-zero diagonal, a repeated row and column, or a positive
+    and a negative diagonal entry (so an indefinite form)."""
+    n = draw(st.integers(0, 8))
+    bound = draw(st.sampled_from([6, 2**80]))
+    entries = st.integers(-bound, bound)
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(entries)
+    if draw(st.booleans()):
+        for i in range(n):
+            m[i][i] = 0
+    if n >= 2 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        if draw(st.booleans()):  # row and column j repeat row and column i
+            for k in range(n):
+                m[j][k] = m[k][j] = m[i][k]
+            m[j][j] = m[i][j] = m[j][i] = m[i][i]
+        else:
+            m[i][i] = draw(st.integers(1, bound))
+            m[j][j] = -draw(st.integers(1, bound))
+    return m
+
+
 class TestConstruction:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
@@ -32,6 +63,17 @@ class TestConstruction:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             Lattice([[0, 1], [2, 0]])
+
+    @pytest.mark.parametrize("gram, where", [
+        ([[2.5]], "row 0, column 0 is not an int: 2.5"),
+        ([[True, 0], [0, 1]], "row 0, column 0 is not an int: True"),
+        ([[1, 0], [0, 1.9]], "row 1, column 1 is not an int: 1.9"),
+        ([[0, Fraction(1)], [Fraction(1), 0]], "row 0, column 1 is not an int: Fraction(1, 1)"),
+        ([[2, "1"], [1, 2]], "row 0, column 1 is not an int: '1'"),
+    ])
+    def test_rejects_entries_that_are_not_ints(self, gram, where):
+        with pytest.raises(ValueError, match=f"^Gram matrix entry at {re.escape(where)}$"):
+            Lattice(gram)
 
     def test_rank_zero(self):
         zero = Lattice([])
@@ -174,6 +216,17 @@ class TestExactInvariants:
                 for i in range(n)
             ]
             assert Lattice(conj).signature() == Lattice(g).signature()
+
+    @given(symmetric_matrices())
+    @example([[0, 0, 3], [0, 0, 0], [3, 0, 0]])  # zero diagonal: the i += j step, then a radical
+    @example([[0, 2**70], [2**70, 0]])
+    @example([[5, 5, 1], [5, 5, 1], [1, 1, 0]])  # a repeated row and column
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    def test_one_pass_against_oracles(self, m):
+        det, inertia = symmetric_invariants(m)
+        assert type(det) is int and det == oracles.frac_det(m)
+        assert inertia == oracles.signature_by_descartes(m)
+        assert (det == 0) == (inertia[2] > 0)
 
     def test_degenerate_form_reports_radical(self):
         lat = Lattice([[0, 0], [0, 2]])
