@@ -1,9 +1,9 @@
 """Exact linear algebra over the integers and rationals.
 
 Dense matrices, kept small by their callers: lattice Gram matrices up to
-the rank cap of 200, and the residual of d2 that the union-find pass in
-DeltaComplex.homology_dims leaves (the rows it cannot solve by killing or
-joining classes, so empty on a surface). exact_rank ranks the residual by
+the rank cap of 200, and the rows of d2 that DeltaComplex.homology_dims
+cannot read off its signed walk (edges on three or more sides, over the
+walk's live classes, so none on a surface). exact_rank ranks them by
 fraction-free Bareiss elimination. symmetric_invariants reads a Gram
 matrix's determinant and inertia off one rational congruence
 diagonalization; its pivots are ratios of leading minors, so a rescaled

@@ -187,6 +187,7 @@ class DeltaComplex:
         """Store cells that the caller has checked, and list each edge's sides; returns self."""
         self.vertices, self._eids, self._ends = vertices, eids, ends
         self._tids, self._tedges, self._signs = tids, tedges, signs
+        self._components = self._walked = None  # component_count and _walk, kept on first use
         sides = self._sides = [[] for _ in eids]
         for k, e in enumerate(tedges):
             sides[e].append(k)
@@ -230,9 +231,11 @@ class DeltaComplex:
         return v - e + f
 
     def component_count(self) -> int:
-        """Connected components, by union-find over the edges: each triangle's
-        corners are joined by its own sides, so triangles add nothing."""
-        return len(set(_classes(len(self.vertices), self._ends)))
+        """Connected components, by one union-find over the edges, kept: each
+        triangle's corners are joined by its own sides, so triangles add nothing."""
+        if self._components is None:
+            self._components = len(set(_classes(len(self.vertices), self._ends)))
+        return self._components
 
     def _link_circles(self) -> Counter:
         """Circles in each vertex link, by vertex index, when every edge lies on
@@ -269,55 +272,19 @@ class DeltaComplex:
         """Rational Betti numbers (h0, h1, h2): h0 counts components (so
         rank d1 = V - h0), h2 = dim ker d2, and h1 = h0 - chi + h2.
 
-        h2 reduces d2 one edge row at a time without building it
-        (Kaczynski-Mrozek-Slusarek): a weighted union-find over triangles
-        keeps z[t] = q[t] * z[parent[t]] with integer weights q. A row with
-        one live class kills it (joins it to `zero`, where z = 0), a row
-        a z[r1] + b z[r2] joins one class under the other when one of a, b
-        divides the other, and the other rows are ranked at the end over the
-        live roots.
+        h2 reads the signed walk (_walk) without building d2: a 2-cycle is
+        a multiple of the walk's signs on each class of triangles joined
+        through two-sided edges, and vanishes on a class that is not live.
+        Only the rows of edges on three or more sides tie the live classes,
+        so h2 = live classes - the rank of those rows over them.
         """
-        signs, zero = self._signs, len(self._tids)
-        parent = list(range(zero + 1))
-        q = [1] * zero
-
-        def find(t):  # (root, w) with z[t] = w * z[root], compressing the path
-            path = []
-            while parent[t] != t:
-                path.append(t)
-                t = parent[t]
-            w = 1
-            for u in reversed(path):
-                w *= q[u]
-                parent[u], q[u] = t, w
-            return t, w
-
-        def live_terms(sides):  # an edge's row of d2 -> {live root: coefficient}
-            terms = {}
+        klass, orientation, bad, residual = self._walked or _walk(self)
+        live, matrix = [k for k, b in enumerate(bad) if b is None], []
+        for sides in residual:
+            row = [0] * len(bad)
             for k in sides:
-                r, w = find(k // 3)
-                if r != zero:
-                    terms[r] = terms.get(r, 0) + signs[k] * w
-            return {r: c for r, c in terms.items() if c}
-
-        residual = []
-        for sides in self._sides:
-            terms = live_terms(sides)
-            if len(terms) == 1:
-                parent[next(iter(terms))] = zero
-            elif len(terms) == 2:  # a z[r1] + b z[r2] = 0
-                (r1, a), (r2, b) = terms.items()
-                if a % b == 0:
-                    parent[r2], q[r2] = r1, -a // b
-                elif b % a == 0:
-                    parent[r1], q[r1] = r2, -b // a
-                else:
-                    residual.append(sides)
-            elif terms:
-                residual.append(sides)
-
-        live = [t for t in range(zero) if parent[t] == t]
-        matrix = [[terms.get(r, 0) for r in live] for terms in map(live_terms, residual)]
+                row[klass[k // 3]] += self._signs[k] * orientation[k // 3]
+            matrix.append([row[k] for k in live])
         h2 = len(live) - _linalg.exact_rank(matrix)
         h0 = self.component_count()
         return h0, h0 - self.euler_characteristic() + h2, h2
@@ -387,9 +354,8 @@ def sphere_failure(c: DeltaComplex):
     for v, vid in enumerate(c.vertices):
         if circles[v] != 1:
             return f"link of vertex {vid!r} is not a single circle"
-    try:
-        _propagate(c)  # orient's own checks, connectivity and pairing, are proven above
-    except NonOrientable:
+    # the checks above leave one class, with no one-sided edge
+    if (c._walked or _walk(c))[2][0] is not None:
         return "not orientable"
     if c.euler_characteristic() != 2:
         return f"Euler characteristic is {c.euler_characteristic()}, expected 2"
@@ -399,7 +365,7 @@ def sphere_failure(c: DeltaComplex):
 def orient(c: DeltaComplex) -> dict:
     """Assign +-1 to each triangle so induced edge orientations cancel.
 
-    Signs are propagated breadth-first from an arbitrary seed triangle.
+    Signs are those of the walk breadth-first from the first triangle.
     Requires a closed connected pseudo-surface: every edge on exactly two
     triangle sides. Raises NonOrientable on contradiction.
     """
@@ -407,41 +373,65 @@ def orient(c: DeltaComplex) -> dict:
         raise InvalidComplex("nothing to orient: no triangles")
     if c.component_count() != 1:
         raise InvalidComplex("orientation requires a connected complex")
-    return _propagate(c)
-
-
-def _propagate(c: DeltaComplex) -> dict:
-    """orient on a connected complex with triangles: pair each edge's two
-    sides, then propagate signs breadth-first from the first triangle."""
-    signs = c._signs
-    neighbors = [[] for _ in c._tids]  # u, or ~u where u takes the opposite sign
     for e, sides in enumerate(c._sides):
         if len(sides) != 2:
             raise InvalidComplex(f"edge {c._eids[e]!r} lies on {len(sides)} triangle sides, expected 2")
-        k1, k2 = sides
-        t1, t2 = k1 // 3, k2 // 3
-        if signs[k1] == signs[k2]:  # or[t1]*s1 + or[t2]*s2 = 0  <=>  or[t2] = -or[t1]*s1*s2
-            t1, t2 = ~t1, ~t2
-        neighbors[k1 // 3].append(t2)
-        neighbors[k2 // 3].append(t1)
-
-    orientation = [1] + [0] * (len(neighbors) - 1)  # 0: not reached yet
-    queue = [0]
-    for t in queue:  # breadth-first: the loop goes on over the triangles appended
-        for u in neighbors[t]:
-            expected = orientation[t]
-            if u < 0:
-                u, expected = ~u, -expected
-            if orientation[u]:
-                if orientation[u] != expected:
-                    raise NonOrientable(f"orientation contradiction at triangle {c._tids[u]!r}")
-            else:
-                orientation[u] = expected
-                queue.append(u)
-    if len(queue) != len(neighbors):
+    _, orientation, bad, _ = c._walked or _walk(c)
+    if bad[0] is not None:
+        raise NonOrientable(f"orientation contradiction at triangle {c._tids[bad[0]]!r}")
+    if len(bad) > 1:
         raise InvalidComplex("triangles not connected through shared edges")
-    # every pairing was set or checked above, so the signed 2-chain is a cycle
-    return {c._tids[t]: orientation[t] for t in queue}
+    # every pairing was set or checked by the walk, so the signed 2-chain is a cycle
+    return dict(zip(c._tids, orientation))
+
+
+def _walk(c: DeltaComplex):
+    """Walk breadth-first through two-sided edges from each unreached
+    triangle in index order, once: callers read c._walked first. Returns
+    (klass, orientation, bad, residual): walk k makes class k, and triangle
+    t is in klass[t] with sign orientation[t]. bad[k] is the first triangle
+    where walk k contradicts itself, else one on a one-sided edge, else
+    None (class k is live); residual lists each edge's sides when it has 3
+    or more."""
+    signs = c._signs
+    neighbors = [[] for _ in c._tids]  # u, or ~u where u takes the opposite sign
+    dead, residual = [], []
+    for sides in c._sides:
+        if len(sides) == 2:
+            k1, k2 = sides
+            t1, t2 = k1 // 3, k2 // 3
+            if signs[k1] == signs[k2]:  # or[t1]*s1 + or[t2]*s2 = 0  <=>  or[t2] = -or[t1]*s1*s2
+                t1, t2 = ~t1, ~t2
+            neighbors[k1 // 3].append(t2)
+            neighbors[k2 // 3].append(t1)
+        elif len(sides) == 1:
+            dead.append(sides[0] // 3)
+        elif sides:
+            residual.append(sides)
+
+    klass, orientation, bad = [0] * len(neighbors), [0] * len(neighbors), []  # orientation 0: not reached yet
+    for root in range(len(neighbors)):
+        if orientation[root]:
+            continue
+        k, first, queue = len(bad), None, [root]
+        orientation[root], klass[root] = 1, k
+        for t in queue:  # breadth-first: the loop goes on over the triangles appended
+            for u in neighbors[t]:
+                expected = orientation[t]
+                if u < 0:
+                    u, expected = ~u, -expected
+                if not orientation[u]:
+                    orientation[u] = expected
+                    klass[u] = k
+                    queue.append(u)
+                elif first is None and orientation[u] != expected:
+                    first = u
+        bad.append(first)
+    for t in dead:
+        if bad[klass[t]] is None:
+            bad[klass[t]] = t
+    c._walked = klass, orientation, bad, residual
+    return c._walked
 
 
 # The six symmetries of a triangle as (corner map, side map, parity): corner

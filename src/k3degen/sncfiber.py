@@ -125,8 +125,8 @@ class SNCSurface:
                 raise ValueError(f"double curve {cid!r}: genus must be nonnegative")
         if fault:
             raise fault
-        (point_ids, on), fault = _read(ValueError, data, "triple_points?", ("id?", "curves[]"), _NO_ID)
-        point_ids = [f"t{t}" if pid is _NO_ID else pid for t, pid in enumerate(point_ids)]
+        (given, on), fault = _read(ValueError, data, "triple_points?", ("id?", "curves[]"), _NO_ID)
+        point_ids = [f"t{t}" if pid is _NO_ID else pid for t, pid in enumerate(given)]
         for pid, c in zip(point_ids, on):
             if len(c) != 3 or c[0] == c[1] or c[1] == c[2] or c[0] == c[2]:
                 raise ValueError(f"triple point {pid!r} needs three distinct double curves")
@@ -142,6 +142,11 @@ class SNCSurface:
                 [x for k, cid in enumerate(curve_ids) for x in (cid, *ends[2 * k:2 * k + 2])],
                 [x for t, pid in enumerate(point_ids) for x in (pid, *point_curves[3 * t:3 * t + 3])],
             )
+        if _NO_ID in given:  # a default name may be another point's id; the constructor words true repeats
+            taken = set(given)
+            for k, pid in enumerate(given):
+                if pid is _NO_ID and point_ids[k] in taken:
+                    raise ValueError(f"triple_points[{k}] has no id, and its default id {point_ids[k]!r} is another point's id")
         return cls(ids, b1, b2, kinds, curve_ids, ends, genus, point_ids, point_curves)
 
 

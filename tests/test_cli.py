@@ -26,6 +26,7 @@ import oracles
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+QUARTIC = Path(corpus.__file__).resolve().parent / "fixtures" / "tetrahedral_quartic_fiber.json"
 
 
 def _src_env():
@@ -116,6 +117,22 @@ class TestClassifyFiber:
             path = payload_file(tmp_path, "typed.json", surface)
             code, out, _ = invoke(capsys, ["classify-fiber", path])
             assert code == 1 and out == ""
+
+    def _classify_with_points(self, capsys, tmp_path, points):
+        surface = json.loads(QUARTIC.read_text())["surface"]
+        return invoke(capsys, ["classify-fiber", payload_file(tmp_path, "points.json", {**surface, "triple_points": points})])
+
+    def test_default_triple_point_id_taken_by_another_point(self, capsys, tmp_path):
+        first, second, *rest = json.loads(QUARTIC.read_text())["surface"]["triple_points"]
+        unnamed = {"curves": second["curves"]}  # named t1, after its index
+        assert self._classify_with_points(capsys, tmp_path, [first, unnamed, *rest])[0] == 0
+        assert self._classify_with_points(capsys, tmp_path, [{**first, "id": "t1"}, unnamed, *rest]) == (
+            1, "", "error: triple_points[1] has no id, and its default id 't1' is another point's id\n")
+
+    def test_repeated_triple_point_id(self, capsys, tmp_path):
+        first, second, *rest = json.loads(QUARTIC.read_text())["surface"]["triple_points"]
+        assert self._classify_with_points(capsys, tmp_path, [first, {**second, "id": first["id"]}, *rest]) == (
+            1, "", "error: repeated triple point id\n")
 
     def test_non_finite_numbers_are_bad_input(self, capsys, tmp_path, monkeypatch):
         text = json.dumps(TETRA_SURFACE)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from k3degen import dualcomplex
 from k3degen.dualcomplex import (
     ComplexAutomorphism,
     DeltaComplex,
@@ -19,6 +20,7 @@ from k3degen.dualcomplex import (
     orientation_action,
     sphere_failure,
 )
+from k3degen.sncfiber import SNCSurface, crosscheck
 
 import oracles
 
@@ -210,8 +212,8 @@ class TestHomology:
         assert wedge_of_tetrahedra().homology_dims() == (1, 0, 2)
 
     def test_weights_stay_integers(self):
-        # row e reads 2 z[t1] + 3 z[t2]: neither coefficient divides the other, so the
-        # row is ranked at the end, and no Fraction (nor the fractions module) is needed
+        # edge e lies on five sides, so its row 2 z[t1] + 3 z[t2] is ranked at the end
+        # by exact_rank, and no Fraction (nor the fractions module) is needed
         one_vertex = (
             ["v"],
             {"e": ("v", "v"), "f": ("v", "v")},
@@ -445,9 +447,9 @@ class TestGeneratedSurfaces:
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(st.randoms(use_true_random=False))
-    @example(random.Random(6568))  # both have a row a z[r1] + b z[r2]
-    @example(random.Random(9473))  # with a | b but not b | a
-    @example(random.Random(1078))  # a two-term row whose coefficients divide neither way
+    @example(random.Random(6568))  # a one-sided edge kills a class; two rows rank the two live ones fully
+    @example(random.Random(9473))  # two live classes, two rows of rank 1: h2 = 1
+    @example(random.Random(1078))  # one live class, one dead, one row on five sides
     def test_glued_homology_matches_oracle(self, rng):
         # edges on three or more sides leave d2 rows for the final rank
         raw = oracles.random_glued_complex(rng)
@@ -464,6 +466,83 @@ class TestPachnerSpheres:
         orientation = orient(c)
         for (t1, s1), (t2, s2) in _raw_sides(*_raw(c)[1:]).values():  # the oriented sides cancel
             assert orientation[t1] * s1 + orientation[t2] * s2 == 0
+
+
+def _orient_outcome(c):
+    try:
+        return orient(c)
+    except (InvalidComplex, NonOrientable) as exc:
+        return type(exc).__name__, str(exc)
+
+
+# what each reader of the shared walk returns, or orient's exception and text
+_READERS = {"sphere_failure": sphere_failure, "orient": _orient_outcome, "homology_dims": DeltaComplex.homology_dims}
+
+
+class TestSharedWalk:
+    """sphere_failure, orient and homology_dims read one signed walk, built
+    on first use and kept on the complex with its component count."""
+
+    def _check_call_orders(self, raw):
+        fresh = {name: read(DeltaComplex(*raw)) for name, read in _READERS.items()}
+        for order in itertools.permutations(_READERS):
+            c = DeltaComplex(*raw)
+            assert {name: _READERS[name](c) for name in order} == fresh, order
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(generated_complexes())
+    def test_call_order_does_not_matter_on_surfaces(self, raw):
+        self._check_call_orders(raw)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.randoms(use_true_random=False))
+    def test_call_order_does_not_matter_on_glued_complexes(self, rng):
+        self._check_call_orders(oracles.random_glued_complex(rng))
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(generated_complexes())
+    def test_closed_connected_complexes_orient_exactly_when_h2_is_one(self, raw):
+        # edges all on two sides, triangles joined through them: one class, live or not
+        vertices, edges, triangles = raw
+        sides = _raw_sides(edges, triangles)
+        if not (
+            triangles
+            and all(len(pairs) == 2 for pairs in sides.values())
+            and oracles.is_connected(vertices, edges.values())
+            and oracles.is_connected(triangles, [(t1, t2) for (t1, _), (t2, _) in sides.values()])
+        ):
+            return
+        h2 = oracles.raw_homology(*raw)[2]
+        outcome = _orient_outcome(DeltaComplex(*raw))
+        if h2 == 1:
+            assert type(outcome) is dict
+        else:
+            assert h2 == 0 and outcome[0] == "NonOrientable"
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """Calls to the connectivity and link union-find and to the walk's build."""
+        calls = {"_classes": 0, "_walk": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(dualcomplex, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(dualcomplex, name, counted)
+        return calls
+
+    def test_crosscheck_runs_each_pass_once(self, passes):
+        payload = json.loads((Path(dualcomplex.__file__).parent / "fixtures" / "tetrahedral_quartic_fiber.json").read_text())
+        _, report = crosscheck(SNCSurface.from_json_dict(payload["surface"]))
+        assert report["all_passed"]
+        assert passes == {"_classes": 2, "_walk": 1}  # components and links; the walk for orientability and h2
+
+    def test_orient_after_sphere_failure_builds_nothing(self, passes):
+        c = oracles.octahedron()
+        assert sphere_failure(c) is None
+        assert passes == {"_classes": 2, "_walk": 1}
+        orient(c)
+        assert c.homology_dims() == (1, 0, 1)
+        assert passes == {"_classes": 2, "_walk": 1}
 
 
 class TestJsonRoundTrip:
