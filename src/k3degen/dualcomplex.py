@@ -337,12 +337,20 @@ class DeltaComplex:
 def sphere_failure(c: DeltaComplex):
     """Why the complex does not triangulate the 2-sphere, or None if it does.
 
-    Checks, in order: nonempty with 2-cells, connected, every edge on
-    exactly two triangle sides, every vertex link a single circle,
-    orientable, Euler characteristic 2. The first failure is reported.
+    Accepted at once, when nonempty with 2-cells, if every edge lies on two
+    sides, the walk has one class, every vertex ends an edge and chi = 2:
+    splitting each vertex into one per circle of its link gives a closed
+    connected surface X', and chi = chi(X') - (V' - V) <= 2 forces X = X' = S^2.
+    Else the first failure of, in order: connected, every edge on exactly two
+    triangle sides, every vertex link a single circle, orientable, chi = 2.
     """
     if not c.vertices or not c._tids:
         return "empty complex or no triangles"
+    if (all(len(sides) == 2 for sides in c._sides) and len(set(c._ends)) == len(c.vertices)
+            and len((c._walked or _walk(c))[2]) == 1):
+        c._components = 1  # the triangles are joined, and every vertex and edge is on one
+        if c.euler_characteristic() == 2:
+            return None
     if c.component_count() != 1:
         return "not connected"
     for e, sides in enumerate(c._sides):
@@ -357,9 +365,8 @@ def sphere_failure(c: DeltaComplex):
     # the checks above leave one class, with no one-sided edge
     if (c._walked or _walk(c))[2][0] is not None:
         return "not orientable"
-    if c.euler_characteristic() != 2:
-        return f"Euler characteristic is {c.euler_characteristic()}, expected 2"
-    return None
+    # clauses 2-5 give the certificate's other three conditions, so chi != 2
+    return f"Euler characteristic is {c.euler_characteristic()}, expected 2"
 
 
 def orient(c: DeltaComplex) -> dict:

@@ -11,6 +11,7 @@ b1 = 2, the weakest testable surrogate for the birational conditions.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 
 from .dualcomplex import _ID_TYPES, DeltaComplex, _read, _require_json_ids, sphere_failure
 
@@ -186,6 +187,9 @@ def _type1_failure(s: SNCSurface):
 
 
 def _type2_failure(s: SNCSurface):
+    """Why the fiber is not a Type II chain, or None. The chain is read off the degrees of
+    the curve ends and connectivity off the dual complex's component count, kept for
+    homology_dims; the path is walked, from its end of lower index, only to name a failure."""
     n = len(s.component_ids)
     if n < 2:
         return "fewer than 2 components"
@@ -195,40 +199,34 @@ def _type2_failure(s: SNCSurface):
         if g != 1:
             return f"double curve {cid!r} has genus {g}, expected 1"
     ends = s.dual_complex()._ends  # by component index
-    neighbors = [[] for _ in range(n)]
-    seen = set()
-    for k in range(0, len(ends), 2):
-        a, b = ends[k], ends[k + 1]
-        pair = (a, b) if a < b else (b, a)
-        if pair in seen:
-            return f"components {s.ends[k]!r} and {s.ends[k + 1]!r} meet in more than one curve (dual graph not a path)"
-        seen.add(pair)
-        neighbors[a].append(b)
-        neighbors[b].append(a)
-    if len(s.curve_ids) != n - 1:
-        return f"{len(s.curve_ids)} double curves, a chain of {n} needs {n - 1}"
-    tips = [v for v in range(n) if len(neighbors[v]) == 1]
-    if len(tips) != 2 or any(len(x) > 2 for x in neighbors):
+    pairs = [(a, b) if a < b else (b, a) for a, b in zip(ends[::2], ends[1::2])]
+    if len(set(pairs)) != len(pairs):
+        seen = set()  # the first curve whose pair repeats; set.add returns None
+        k = next(k for k, pair in enumerate(pairs) if pair in seen or seen.add(pair))
+        return f"components {s.ends[2 * k]!r} and {s.ends[2 * k + 1]!r} meet in more than one curve (dual graph not a path)"
+    if len(pairs) != n - 1:
+        return f"{len(pairs)} double curves, a chain of {n} needs {n - 1}"
+    degree = Counter(ends)
+    tips = [v for v in range(n) if degree[v] == 1]
+    if len(tips) != 2 or max(degree.values()) > 2:
         return "dual graph is not a path"
-    # walk the path to check connectivity and collect the order
-    order = [tips[0]]
-    prev = None
-    while True:
-        nxt = [x for x in neighbors[order[-1]] if x != prev]
-        if not nxt:
-            break
-        prev = order[-1]
-        order.append(nxt[0])
-    if len(order) != n:
+    # n - 1 curves, two tips and no degree above 2: a path, plus cycles unless connected
+    if s.dual_complex().component_count() != 1:
         return "dual graph is not connected"
     ids, b1, kinds = s.component_ids, s.b1, s.kinds
-    for v in (order[0], order[-1]):
+    for v in tips:
         if not _is_rational(b1[v], kinds[v]):
             return f"end component {ids[v]!r} is not rational (b1 = 0)"
-    for v in order[1:-1]:
-        if not _is_elliptic_ruled(b1[v], kinds[v]):
-            return f"interior component {ids[v]!r} is not elliptic ruled (b1 = 2)"
-    return None
+    if all(_is_elliptic_ruled(b1[v], kinds[v]) for v in range(n) if degree[v] == 2):
+        return None
+    link = [0] * n  # the XOR of each component's neighbours: the one after v, from prev, is link[v] ^ prev
+    for a, b in pairs:
+        link[a] ^= b
+        link[b] ^= a
+    prev, v = tips[0], link[tips[0]]
+    while _is_elliptic_ruled(b1[v], kinds[v]):
+        prev, v = v, link[v] ^ prev
+    return f"interior component {ids[v]!r} is not elliptic ruled (b1 = 2)"
 
 
 def _type3_failure(s: SNCSurface):
@@ -265,33 +263,28 @@ def classify(s: SNCSurface) -> KulikovType:
     raise NotKulikov("; ".join(failures))
 
 
+_E1_KEYS = tuple((p, q) for p in range(-2, 3) for q in range(5))
+
+
 def e1_page(s: SNCSurface) -> dict:
     """First-page dimensions of the weight spectral sequence of the fiber.
 
     Entry (p, q), p in -2..2, q in 0..4, is the sum over i >= max(0, -p) of
     the (q - 2i)-th Betti number of the codimension-(p + 2i) stratum; Tate
-    twists do not change dimensions. Requires b2 on every component.
+    twists do not change dimensions. Only strata 0, 1 and 2 are nonempty, so
+    the rows are written out. Requires b2 on every component.
     """
     if None in s.b2:
         raise MissingBetti(f"component {s.component_ids[s.b2.index(None)]!r} has no b2")
     # codim-0 stratum: disjoint smooth proper surfaces, so b3 = b1, b4 = b0
-    n, curves, b1 = len(s.component_ids), len(s.curve_ids), sum(s.b1)
-    betti = {
-        0: (n, b1, sum(s.b2), b1, n),
-        1: (curves, 2 * sum(s.genus), curves, 0, 0),
-        2: (len(s.point_ids), 0, 0, 0, 0),
-    }
-    grid = {}
-    for p in range(-2, 3):
-        for q in range(0, 5):
-            total = 0
-            for i in range(max(0, -p), 3):
-                stratum = p + 2 * i
-                degree = q - 2 * i
-                if stratum in betti and 0 <= degree < 5:
-                    total += betti[stratum][degree]
-            grid[(p, q)] = total
-    return grid
+    n, c, t, b1, g2 = len(s.component_ids), len(s.curve_ids), len(s.point_ids), sum(s.b1), 2 * sum(s.genus)
+    return dict(zip(_E1_KEYS, (
+        0, 0, 0, 0, t,
+        0, 0, c, g2, c,
+        n, b1, sum(s.b2) + t, b1, n,
+        c, g2, c, 0, 0,
+        t, 0, 0, 0, 0,
+    )))
 
 
 def crosscheck(s: SNCSurface) -> tuple[KulikovType, dict]:

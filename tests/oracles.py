@@ -611,6 +611,29 @@ def fiber_triangle(point_id, curve_ids, curves):
     return vertices, tuple(1 if curves[x][0] == v else -1 for x, v in zip(curve_ids, vertices))
 
 
+def e1_by_strata(s: SNCSurface) -> dict:
+    """e1_page's grid by its defining sum: entry (p, q) adds, over i >=
+    max(0, -p), the (q - 2i)-th Betti number of the codimension-(p + 2i)
+    stratum. Needs b2 on every component."""
+    n, curves, b1 = len(s.component_ids), len(s.curve_ids), sum(s.b1)
+    betti = {
+        0: (n, b1, sum(s.b2), b1, n),  # disjoint smooth proper surfaces: b3 = b1, b4 = b0
+        1: (curves, 2 * sum(s.genus), curves, 0, 0),
+        2: (len(s.point_ids), 0, 0, 0, 0),
+    }
+    grid = {}
+    for p in range(-2, 3):
+        for q in range(0, 5):
+            total = 0
+            for i in range(max(0, -p), 3):
+                stratum = p + 2 * i
+                degree = q - 2 * i
+                if stratum in betti and 0 <= degree < 5:
+                    total += betti[stratum][degree]
+            grid[(p, q)] = total
+    return grid
+
+
 def _rational(c) -> bool:
     return c["b1"] == 0 and c.get("kind") in (None, "rational")
 

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -86,6 +87,13 @@ def wedge_of_tetrahedra():
                 edges[pair] = pair
             triangles[(a, b, c)] = ((a, b, c), ((a, b), (b, c), (a, c)))
     return DeltaComplex(range(7), edges, triangles)
+
+
+def octahedra_at_two_vertices():
+    # two octahedron boundaries sharing the antipodal vertices 0 and 5, so no edge
+    first = list(oracles.octahedron().triangles)
+    other = {1: 6, 2: 7, 3: 8, 4: 9}
+    return oracles._simplicial(10, first + [tuple(other.get(v, v) for v in t) for t in first], sep="-")
 
 
 def open_triangle():
@@ -280,6 +288,20 @@ class TestSphereRecognition:
 
     def test_empty_fails(self):
         assert sphere_failure(DeltaComplex([], {}, {})) == "empty complex or no triangles"
+
+    # chi = 2 and every edge on two sides, yet no sphere: the certificate needs its other conditions
+    def test_octahedra_at_two_vertices_fail_on_link(self):
+        c = octahedra_at_two_vertices()
+        assert c.euler_characteristic() == 2 and len(dualcomplex._walk(c)[2]) == 2
+        assert sphere_failure(c) == "link of vertex 0 is not a single circle"
+        assert _expected_failure(*_raw(c)) == sphere_failure(DeltaComplex(*_raw(c)))
+
+    def test_rp2_and_lonely_vertex_fail_on_connectivity(self):
+        rp2 = oracles.six_vertex_rp2()
+        c = DeltaComplex([*rp2.vertices, "lonely"], rp2.edges, rp2.triangles)
+        assert c.euler_characteristic() == 2 and len(dualcomplex._walk(c)[2]) == 1
+        assert sphere_failure(c) == "not connected"
+        assert _expected_failure(*_raw(c)) == sphere_failure(DeltaComplex(*_raw(c)))
 
     def test_subdivided_octahedron_at_scale(self):
         c = oracles.octahedron()
@@ -522,8 +544,8 @@ class TestSharedWalk:
     @pytest.fixture
     def passes(self, monkeypatch):
         """Calls to the connectivity and link union-find and to the walk's build."""
-        calls = {"_classes": 0, "_walk": 0}
-        for name in calls:
+        calls = Counter()
+        for name in ("_classes", "_walk"):
             def counted(*args, _name=name, _real=getattr(dualcomplex, name)):
                 calls[_name] += 1
                 return _real(*args)
@@ -534,15 +556,24 @@ class TestSharedWalk:
         payload = json.loads((Path(dualcomplex.__file__).parent / "fixtures" / "tetrahedral_quartic_fiber.json").read_text())
         _, report = crosscheck(SNCSurface.from_json_dict(payload["surface"]))
         assert report["all_passed"]
-        assert passes == {"_classes": 2, "_walk": 1}  # components and links; the walk for orientability and h2
+        assert passes == {"_walk": 1}  # the walk for the sphere's certificate and h2; no union-find
 
     def test_orient_after_sphere_failure_builds_nothing(self, passes):
         c = oracles.octahedron()
         assert sphere_failure(c) is None
-        assert passes == {"_classes": 2, "_walk": 1}
+        assert passes == {"_walk": 1}
         orient(c)
         assert c.homology_dims() == (1, 0, 1)
-        assert passes == {"_classes": 2, "_walk": 1}
+        assert passes == {"_walk": 1}
+
+    def test_type2_crosscheck_counts_components_once(self, passes):
+        chain = oracles.fiber(
+            [{"id": "Z1", "b1": 0}, {"id": "Z2", "b1": 2}, {"id": "Z3", "b1": 0}],
+            [{"id": "C12", "components": ["Z1", "Z2"], "genus": 1}, {"id": "C23", "components": ["Z2", "Z3"], "genus": 1}],
+        )
+        t, report = crosscheck(chain)
+        assert str(t) == "II" and report["all_passed"]
+        assert passes == {"_classes": 1, "_walk": 1}  # the chain's connectivity, kept for h0; the walk for h2
 
 
 class TestJsonRoundTrip:

@@ -394,6 +394,46 @@ class TestGrWDims:
             assert all(dims[n] == dims[4 - n] for n in range(5))
 
 
+class TestType2Wording:
+    """The Type II clause names the first failure along the chain, however
+    the payload lists it, as the oracle does."""
+
+    # the path Z0 - Z1 - Z2 - Z3 - Z4, listed so that its first end by index is Z4
+    ORDER = ("Z1", "Z4", "Z3", "Z0", "Z2")
+
+    def _check(self, b1, curves, expected):
+        comps = [{"id": x, "b1": b1[x]} for x in self.ORDER]
+        payload = {"components": comps, "double_curves": curves}
+        assert oracles._type2_reason(comps, curves, []) == expected
+        with pytest.raises(NotKulikov) as caught:
+            classify(SNCSurface.from_json_dict(payload))
+        assert f"; not Type II: {expected};" in str(caught.value)
+        assert str(caught.value) == oracles.kulikov_verdict(payload)
+
+    @pytest.mark.parametrize("bad, expected", [
+        ({"Z0": 2}, "end component 'Z0' is not rational (b1 = 0)"),
+        ({"Z0": 2, "Z4": 1}, "end component 'Z4' is not rational (b1 = 0)"),
+        # component order would name Z1 first
+        ({"Z1": 0, "Z3": 0}, "interior component 'Z3' is not elliptic ruled (b1 = 2)"),
+        ({"Z0": 2, "Z1": 0, "Z3": 0}, "end component 'Z0' is not rational (b1 = 0)"),
+    ])
+    def test_first_failure_in_path_order(self, bad, expected):
+        b1 = {"Z0": 0, "Z1": 2, "Z2": 2, "Z3": 2, "Z4": 0, **bad}
+        curves = [curve(f"C{k}", f"Z{k + 1}", f"Z{k}", 1) for k in (2, 0, 3, 1)]
+        self._check(b1, curves, expected)
+
+    def test_repeated_curve_pair_names_the_repeat(self):
+        b1 = {"Z0": 0, "Z1": 2, "Z2": 2, "Z3": 2, "Z4": 0}
+        curves = [curve(f"C{k}", f"Z{k}", f"Z{k + 1}", 1) for k in range(4)]
+        curves[2:2] = [curve("D", "Z2", "Z1", 1), curve("E", "Z1", "Z0", 1)]
+        self._check(b1, curves, "components 'Z2' and 'Z1' meet in more than one curve (dual graph not a path)")
+
+    def test_chain_beside_a_cycle_is_not_connected(self):
+        b1 = {"Z0": 0, "Z1": 2, "Z2": 2, "Z3": 2, "Z4": 0}
+        curves = [curve("C04", "Z0", "Z4", 1), curve("C12", "Z1", "Z2", 1), curve("C23", "Z2", "Z3", 1), curve("C31", "Z3", "Z1", 1)]
+        self._check(b1, curves, "dual graph is not connected")
+
+
 class TestE1Page:
     def test_type1_grid(self):
         grid = e1_page(smooth_fiber())
@@ -426,6 +466,22 @@ class TestE1Page:
         grid = e1_page(chain_fiber())
         assert all(grid[(-2, q)] == 0 for q in range(5))
         assert all(grid[(2, q)] == 0 for q in range(5))
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.data())
+    def test_rows_match_the_strata_sum(self, data):
+        # a Pachner sphere's strata, down to its curves or its components alone, with drawn Betti columns
+        c = oracles.pachner_sphere(random.Random(data.draw(st.integers(0, 99))), data.draw(st.integers(0, 6)))
+        payload = _complex_fiber(c)
+        for section in ("triple_points", "double_curves")[:data.draw(st.integers(0, 2))]:
+            payload[section] = []
+        betti = st.integers(0, 40)
+        for comp in payload["components"]:
+            comp["b1"], comp["b2"] = data.draw(betti), data.draw(betti)
+        for d in payload["double_curves"]:
+            d["genus"] = data.draw(betti)
+        s = SNCSurface.from_json_dict(payload)
+        assert list(e1_page(s).items()) == list(oracles.e1_by_strata(s).items())  # key order too: p, then q
 
     def test_missing_betti(self):
         s = oracles.fiber([{"id": "X", "b1": 0, "kind": "k3"}])
