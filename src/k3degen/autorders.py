@@ -112,14 +112,9 @@ def admissible_transcendental_charpolys(m: int, setting: CharSetting, t_rank: in
     if m > 2 * t_rank * t_rank:
         return []
 
-    if setting.kind == CHAR0:
-        phi = euler_phi(m)
-        if t_rank % phi == 0:
-            return [CycloFactorization({m: t_rank // phi})]
-        return []
-
-    candidates = _power_candidates(m, p, t_rank)
-    if setting.kind in (LIFTABLE, FINITE_FIELD):
+    # char 0 is the e = 0 single power
+    candidates = [(m, euler_phi(m))] if setting.kind == CHAR0 else _power_candidates(m, p, t_rank)
+    if setting.kind != FINITE_HEIGHT:
         return [CycloFactorization({index: t_rank // phi}) for index, phi in candidates if t_rank % phi == 0]
 
     # finite height: any multiset of factors Phi_{m p^{e_i}} filling t_rank
@@ -144,11 +139,6 @@ def admissible_transcendental_charpolys(m: int, setting: CharSetting, t_rank: in
     fill(0, t_rank, {})
     solutions.sort(key=lambda f: sorted(f.factors.items()))
     return solutions
-
-
-def is_single_power(f: CycloFactorization) -> bool:
-    """True when the factorization is a power of a single Phi_m."""
-    return len(f.factors) == 1
 
 
 def wild_prime_powers(max_t: int) -> list[int]:
@@ -182,11 +172,6 @@ def nygaard_sigma0(m: int, p: int) -> list[int]:
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     return [s for s in range(1, 11) if (pow(p, s, m) + 1) % m == 0]
-
-
-def verify_het2_factorization(f: CycloFactorization) -> bool:
-    """True iff the factorization has total degree 22 = dim H^2 of a K3."""
-    return f.total_degree() == 22
 
 
 def order_decomposition(n: int, p: int) -> tuple[int, int]:

@@ -215,10 +215,7 @@ def _cmd_classify_fiber(args):
         return inputs, _refusal(exc), f"not a Kulikov fiber: {exc}", EXIT_CONSTRAINT
     result = {"type": str(t), "grw": list(grw_dims(t)), "crosscheck": check}
     if None not in surface.b2:
-        grid = e1_page(surface)
-        result["e1"] = [
-            {"p": p, "dims": [grid[(p, q)] for q in range(5)]} for p in range(-2, 3)
-        ]
+        result["e1"] = [{"p": p, "dims": row} for p, row in zip(range(-2, 3), e1_page(surface))]
     return inputs, result, f"Type {t}, grw = {result['grw']}", EXIT_OK
 
 
@@ -250,7 +247,7 @@ def _cmd_charpoly(args):
     candidates = autorders.admissible_transcendental_charpolys(args.m, setting, args.t_rank)
     rows = []
     for f in candidates:
-        single = autorders.is_single_power(f)
+        single = len(f.factors) == 1
         row = {
             "factors": {str(m): mult for m, mult in sorted(f.factors.items())},
             "coefficients": list(f.expand().coefficients),

@@ -180,8 +180,5 @@ def moduli_dim(p: int, rank_s: int) -> int:
         raise ValueError(f"rank_s must lie in 1..21, got {rank_s}")
     if (22 - rank_s) % (p - 1) != 0:
         raise ValueError(f"p - 1 = {p - 1} must divide 22 - rank_s = {22 - rank_s}")
-    dim = (22 - rank_s) // (p - 1) - 1
-    if dim < 0:
-        raise ValueError(f"no eigenspace left: computed dimension {dim}")
-    return dim
+    return (22 - rank_s) // (p - 1) - 1
 

@@ -20,8 +20,8 @@ class ImpossibleConfiguration(Exception):
     """Raised when a fiber configuration cannot live on a K3 surface."""
 
 
-_FIXED_EULER = {"II": 2, "III": 3, "IV": 4, "II*": 10, "III*": 9, "IV*": 8}
-_FIXED_COMPONENTS = {"II": 1, "III": 2, "IV": 3, "II*": 9, "III*": 8, "IV*": 7}
+# fixed kind -> (Euler number, component count)
+_FIXED = {"II": (2, 1), "III": (3, 2), "IV": (4, 3), "II*": (10, 9), "III*": (9, 8), "IV*": (8, 7)}
 
 # n is written as a JSON integer, without a sign: ASCII digits and no leading zero
 _FIBER_RE = re.compile(r"I(0|[1-9][0-9]*)(\*?)")
@@ -40,7 +40,7 @@ class KodairaFiber(Record):
         elif kind == "I*":
             if n is None or n < 0:
                 raise ValueError("I*(n) requires n >= 0")
-        elif kind in _FIXED_EULER:
+        elif kind in _FIXED:
             if n is not None:
                 raise ValueError(f"{kind} takes no index")
         else:
@@ -52,7 +52,7 @@ class KodairaFiber(Record):
         """Parse labels like "I1", "I11", "I0*", "II", "IV*"."""
         if not isinstance(label, str):
             raise ValueError(f"Kodaira fiber label must be a string, got {label!r}")
-        if label in _FIXED_EULER:
+        if label in _FIXED:
             return cls(label)
         match = _FIBER_RE.fullmatch(label)
         if match:
@@ -78,7 +78,7 @@ def euler_number(f: KodairaFiber) -> int:
         return f.n
     if f.kind == "I*":
         return f.n + 6
-    return _FIXED_EULER[f.kind]
+    return _FIXED[f.kind][0]
 
 
 def component_count(f: KodairaFiber) -> int:
@@ -87,19 +87,14 @@ def component_count(f: KodairaFiber) -> int:
         return f.n
     if f.kind == "I*":
         return f.n + 5
-    return _FIXED_COMPONENTS[f.kind]
+    return _FIXED[f.kind][1]
 
 
 class FiberConfiguration:
-    """A multiset of Kodaira fibers."""
+    """A multiset of Kodaira fibers, given by their labels."""
 
     def __init__(self, fibers):
-        self.fibers = Counter()
-        for item in fibers:
-            if isinstance(item, KodairaFiber):
-                self.fibers[item] += 1
-            else:
-                self.fibers[KodairaFiber.parse(item)] += 1
+        self.fibers = Counter(map(KodairaFiber.parse, fibers))
 
     @classmethod
     def from_json(cls, data) -> "FiberConfiguration":

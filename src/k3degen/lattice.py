@@ -33,9 +33,6 @@ class Lattice(Record):
             raise ValueError("Gram matrix must be symmetric")
         self._set(rows)
 
-    def __repr__(self):
-        return f"Lattice(rank={self.rank()}, det={self.det()})"
-
     def rank(self) -> int:
         return len(self.gram)
 

@@ -263,28 +263,26 @@ def classify(s: SNCSurface) -> KulikovType:
     raise NotKulikov("; ".join(failures))
 
 
-_E1_KEYS = tuple((p, q) for p in range(-2, 3) for q in range(5))
-
-
-def e1_page(s: SNCSurface) -> dict:
+def e1_page(s: SNCSurface) -> list[list[int]]:
     """First-page dimensions of the weight spectral sequence of the fiber.
 
-    Entry (p, q), p in -2..2, q in 0..4, is the sum over i >= max(0, -p) of
-    the (q - 2i)-th Betti number of the codimension-(p + 2i) stratum; Tate
-    twists do not change dimensions. Only strata 0, 1 and 2 are nonempty, so
-    the rows are written out. Requires b2 on every component.
+    Row p + 2, p in -2..2, lists the entries q = 0..4. Entry (p, q) is the
+    sum over i >= max(0, -p) of the (q - 2i)-th Betti number of the
+    codimension-(p + 2i) stratum; Tate twists do not change dimensions. Only
+    strata 0, 1 and 2 are nonempty, so the rows are written out. Requires b2
+    on every component.
     """
     if None in s.b2:
         raise MissingBetti(f"component {s.component_ids[s.b2.index(None)]!r} has no b2")
     # codim-0 stratum: disjoint smooth proper surfaces, so b3 = b1, b4 = b0
     n, c, t, b1, g2 = len(s.component_ids), len(s.curve_ids), len(s.point_ids), sum(s.b1), 2 * sum(s.genus)
-    return dict(zip(_E1_KEYS, (
-        0, 0, 0, 0, t,
-        0, 0, c, g2, c,
-        n, b1, sum(s.b2) + t, b1, n,
-        c, g2, c, 0, 0,
-        t, 0, 0, 0, 0,
-    )))
+    return [
+        [0, 0, 0, 0, t],
+        [0, 0, c, g2, c],
+        [n, b1, sum(s.b2) + t, b1, n],
+        [c, g2, c, 0, 0],
+        [t, 0, 0, 0, 0],
+    ]
 
 
 def crosscheck(s: SNCSurface) -> tuple[KulikovType, dict]:

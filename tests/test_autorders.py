@@ -8,10 +8,8 @@ from k3degen.autorders import (
     CharSetting,
     admissible_transcendental_charpolys,
     is_prime,
-    is_single_power,
     nygaard_sigma0,
     order_decomposition,
-    verify_het2_factorization,
     wild_prime_powers,
 )
 from k3degen.cyclotomic import CycloFactorization, euler_phi
@@ -113,6 +111,15 @@ class TestAdmissibleCharpolys:
                 result = admissible_transcendental_charpolys(m, CharSetting("char0"), t_rank)
                 assert bool(result) == (t_rank % euler_phi(m) == 0)
 
+    def test_char0_is_the_untwisted_liftable_power(self):
+        # char 0 is the e = 0 single power: the liftable answer's entries indexed by m alone
+        for m, t_rank in itertools.product(range(1, 61), range(1, 22)):
+            char0 = admissible_transcendental_charpolys(m, CharSetting("char0"), t_rank)
+            for p in (2, 3, 5, 7, 11, 13):
+                if m % p:
+                    liftable = admissible_transcendental_charpolys(m, CharSetting("liftable", p), t_rank)
+                    assert char0 == [f for f in liftable if list(f.factors) == [m]]
+
     def test_finite_field_includes_twisted_power(self):
         result = admissible_transcendental_charpolys(1, CharSetting("finite-field", 11), 20)
         assert CycloFactorization({11: 2}) in result
@@ -176,7 +183,7 @@ class TestAdmissibleCharpolys:
 
     def test_finite_height_flags_multi_factor(self):
         result = admissible_transcendental_charpolys(1, CharSetting("finite-height", 3), 6)
-        multi = [f for f in result if not is_single_power(f)]
+        multi = [f for f in result if len(f.factors) != 1]
         assert CycloFactorization({1: 4, 3: 1}) in multi
         assert all(len(f.factors) > 1 for f in multi)
 
@@ -245,10 +252,10 @@ class TestNygaard:
 
 class TestHet2AndOrderDecomposition:
     def test_verify_het2(self):
-        assert verify_het2_factorization(CycloFactorization({1: 10, 42: 1}))
-        assert verify_het2_factorization(CycloFactorization({1: 22}))
-        assert verify_het2_factorization(CycloFactorization({1: 2, 66: 1}))
-        assert not verify_het2_factorization(CycloFactorization({1: 21}))
+        assert CycloFactorization({1: 10, 42: 1}).total_degree() == 22
+        assert CycloFactorization({1: 22}).total_degree() == 22
+        assert CycloFactorization({1: 2, 66: 1}).total_degree() == 22
+        assert CycloFactorization({1: 21}).total_degree() != 22
 
     def test_order_decomposition(self):
         assert order_decomposition(28, 2) == (2, 7)

@@ -156,10 +156,12 @@ class TestModuliDim:
         assert moduli_dim(11, 12) == 0
 
     def test_identity(self):
+        # every valid (p, rank_s): 22 - rank_s >= 1 and p - 1 divides it, so the quotient is >= 1
         for p in (3, 5, 7, 11, 13, 17, 19):
             for rank in range(1, 22):
-                if (22 - rank) % (p - 1) == 0 and (22 - rank) // (p - 1) >= 1:
+                if (22 - rank) % (p - 1) == 0:
                     dim = moduli_dim(p, rank)
+                    assert dim >= 0
                     assert (dim + 1) * (p - 1) == 22 - rank
 
     def test_validation(self):

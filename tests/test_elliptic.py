@@ -107,6 +107,11 @@ class TestConfigurations:
             c = FiberConfiguration(labels)
             assert c.euler_sum() == 24 and c.trivial_lattice_rank() == 12
 
+    def test_fibers_are_given_by_label(self):
+        assert FiberConfiguration(["I1", "II"]).fibers == {KodairaFiber("I", 1): 1, KodairaFiber("II"): 1}
+        with pytest.raises(ValueError, match="Kodaira fiber label must be a string"):
+            FiberConfiguration([KodairaFiber("I", 1)])
+
     def test_from_json_list_and_dict_agree(self):
         a = FiberConfiguration.from_json(["II", "I1", "I1"])
         b = FiberConfiguration.from_json({"II": 1, "I1": 2})

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from k3degen import _linalg
 from k3degen._linalg import symmetric_invariants
 from k3degen.lattice import (
     Lattice,
@@ -78,6 +79,14 @@ class TestConstruction:
     def test_rank_zero(self):
         zero = Lattice([])
         assert zero.rank() == 0 and zero.det() == 1 and zero.signature() == (0, 0, 0)
+
+    def test_repr_shows_the_gram_and_eliminates_nothing(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(_linalg, "symmetric_invariants", lambda gram: calls.append(gram))
+        huge = rescale(standard_lattice("A50"), 10**1000)  # its determinant has more digits than str() prints
+        assert repr(huge).startswith("Lattice(gram=((-2" + "0" * 1000 + ", ")
+        assert repr(hyperbolic_plane()) == "Lattice(gram=((0, 1), (1, 0)))"
+        assert calls == []
 
 
 class TestNamedLattices:
