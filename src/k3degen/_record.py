@@ -15,7 +15,7 @@ class Record:
     __slots__ = ()
 
     def __init_subclass__(cls):
-        # the field values, read in C: a KodairaFiber is hashed on every Counter update
+        # the field values, read in C, for __eq__ and __hash__
         cls._fields = property(attrgetter(*cls.__slots__))
 
     def _set(self, *values):

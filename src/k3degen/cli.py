@@ -25,6 +25,7 @@ from .dualcomplex import (
     DeltaComplex,
     InvalidComplex,
     NonOrientable,
+    _known_fields,
     orient,
     orientation_action,
 )
@@ -230,14 +231,10 @@ def _cmd_allowed_types(args):
             height = _int_literal(height)
         except argparse.ArgumentTypeError:  # not an int that int() converts: refused as typed below
             pass
-    field = degeneration.HodgeFieldClass(args.field) if args.field else None
-    decision = degeneration.combine(m=args.m, e=field, h=height, residue_char=args.char)
+    result = degeneration.combine(m=args.m, e=args.field, h=height, residue_char=args.char)
     inputs = {"m": args.m, "field": args.field, "height": args.height, "char": args.char}
-    if decision.outside_hypotheses:
-        summary = "outside theorem hypotheses"
-    else:
-        summary = f"allowed types: {sorted(str(t) for t in decision.allowed)}"
-    return inputs, decision.to_json_dict(), summary, EXIT_OK
+    summary = result["status"] if "status" in result else f"allowed types: {result['allowed']}"
+    return inputs, result, summary, EXIT_OK
 
 
 def _cmd_charpoly(args):
@@ -282,6 +279,7 @@ def _cmd_ss_check(args):
 
 def _cmd_orient(args):
     payload = _read_payload(args.payload)
+    _known_fields(ValueError, payload, ("vertices", "edges", "triangles", "automorphism"))
     complex_ = DeltaComplex.from_json_dict(payload)
     inputs = complex_.to_json_dict()
     try:
@@ -306,8 +304,10 @@ def _cmd_euler(args):
     if args.characteristic is not None and not autorders.is_prime(args.characteristic):
         raise ValueError(f"characteristic must be a prime, got {args.characteristic}")
     payload = _read_payload(args.payload)
-    fibers = payload["fibers"] if isinstance(payload, dict) and "fibers" in payload else payload
-    config = FiberConfiguration.from_json(fibers)
+    if isinstance(payload, dict) and "fibers" in payload:  # else the payload is the multiset itself
+        _known_fields(ValueError, payload, ("fibers",))
+        payload = payload["fibers"]
+    config = FiberConfiguration.from_json(payload)
     inputs = {"fibers": config.to_json_dict(), "characteristic": args.characteristic}
     try:
         rank = config.trivial_lattice_rank()
@@ -379,9 +379,7 @@ _COMMANDS = {
     )),
     "allowed-types": ("degeneration types allowed by given constraints", _cmd_allowed_types, (
         _arg("--m", type=_int_literal, help="order of the action on the 2-forms"),
-        _arg(
-            "--field", choices=[c.value for c in degeneration.HodgeFieldClass], help="Hodge endomorphism field class"
-        ),
+        _arg("--field", choices=list(degeneration.FIELD_CLASSES), help="Hodge endomorphism field class"),
         _arg("--height", help="formal Brauer height: 1..10 or 'infinite'"),
         _arg("--char", type=_int_literal, help="residue characteristic, if known"),
     )),

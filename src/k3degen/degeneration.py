@@ -10,16 +10,15 @@ reduction) is never excluded.
 The order constraint is derived from grw_dims: the automorphism acts
 rationally on each Gr_W piece of the limit cohomology, and the limit 2-form
 lies in the top nonzero one (Morrison 1984; Friedman-Scattone 1986), so all
-phi(m) conjugates of its eigenvalue zeta_m fit there. The field and height
-constraints are stated tables.
+phi(m) conjugates of its eigenvalue zeta_m fit there. The field constraint
+(FIELD_CLASSES) and the height constraint are quoted from the theorems, not
+derived here.
 """
 
 from __future__ import annotations
 
-import enum
 from functools import lru_cache
 
-from ._record import Record
 from .autorders import is_prime
 from .cyclotomic import bounded_orders
 from .sncfiber import KulikovType, grw_dims
@@ -27,15 +26,16 @@ from .sncfiber import KulikovType, grw_dims
 ALL_TYPES = frozenset(KulikovType)
 
 
-class HodgeFieldClass(enum.Enum):
-    """Coarse classes of the Hodge endomorphism field of the transcendental
-    lattice; it is always a totally real field or a CM field."""
-
-    RATIONAL = "rational"
-    IMAGINARY_QUADRATIC = "imaginary_quadratic"
-    CM_DEGREE_GT2 = "cm_degree_gt2"
-    TOTALLY_REAL_DEGREE_GT1 = "totally_real_degree_gt1"
-
+# Hodge endomorphism field class of the transcendental lattice -> (the types it
+# allows, whether that rests on the Hodge conjecture). The field is always
+# totally real or CM. For CM fields the Hodge conjecture for the self-product
+# is known, so only the totally real class of degree > 1 is conditional.
+FIELD_CLASSES = {
+    "rational": (ALL_TYPES, False),
+    "imaginary_quadratic": (frozenset({KulikovType.I, KulikovType.II}), False),
+    "cm_degree_gt2": (frozenset({KulikovType.I}), False),
+    "totally_real_degree_gt1": (frozenset({KulikovType.I}), True),
+}
 
 # the height of a supersingular surface; a string, so no float enters the engine
 INFINITE_HEIGHT = "infinite"
@@ -51,31 +51,6 @@ def allowed_types_from_m(m: int) -> frozenset[KulikovType]:
     if m < 1:
         raise ValueError("m must be positive")
     return frozenset(t for t in KulikovType if t is KulikovType.I or m in allowed_m_from_type(t))
-
-
-class FieldConstraint(Record):
-    __slots__ = ("allowed", "conditional")
-
-    def __init__(self, allowed: frozenset, conditional: bool):
-        self._set(allowed, conditional)
-
-
-def allowed_types_from_field(e: HodgeFieldClass) -> FieldConstraint:
-    """Degeneration types compatible with a Hodge endomorphism field class.
-
-    For CM fields the statement is unconditional (the Hodge conjecture for
-    the self-product is known there); for totally real fields of degree > 1
-    it is conditional on that conjecture, and the flag records this.
-    """
-    if e is HodgeFieldClass.RATIONAL:
-        return FieldConstraint(ALL_TYPES, conditional=False)
-    if e is HodgeFieldClass.IMAGINARY_QUADRATIC:
-        return FieldConstraint(frozenset({KulikovType.I, KulikovType.II}), conditional=False)
-    if e is HodgeFieldClass.CM_DEGREE_GT2:
-        return FieldConstraint(frozenset({KulikovType.I}), conditional=False)
-    if e is HodgeFieldClass.TOTALLY_REAL_DEGREE_GT1:
-        return FieldConstraint(frozenset({KulikovType.I}), conditional=True)
-    raise ValueError(f"unknown field class {e!r}")
 
 
 @lru_cache(maxsize=None)
@@ -108,67 +83,53 @@ def allowed_types_from_height(h) -> frozenset[KulikovType]:
     return frozenset({KulikovType.I})
 
 
-class Decision(Record):
-    """Combined verdict: the intersection of the applicable constraints."""
-
-    __slots__ = ("allowed", "conditional", "reasons", "outside_hypotheses")
-
-    def __init__(
-        self, allowed: frozenset, conditional: bool = False, reasons: tuple = (), outside_hypotheses: bool = False
-    ):
-        self._set(allowed, conditional, reasons, outside_hypotheses)
-
-    def to_json_dict(self) -> dict:
-        if self.outside_hypotheses:
-            return {
-                "status": "outside theorem hypotheses",
-                "reasons": list(self.reasons),
-            }
-        return {
-            "allowed": sorted(str(t) for t in self.allowed),
-            "conditional": self.conditional,
-            "reasons": list(self.reasons),
-        }
+def _listed(types) -> str:
+    return "{" + ", ".join(sorted(str(t) for t in types)) + "}"
 
 
-def combine(m=None, e=None, h=None, residue_char=None) -> Decision:
-    """Intersect the constraints from order, field class, and height.
+def combine(m=None, e=None, h=None, residue_char=None) -> dict:
+    """Intersect the constraints from order, field class name, and height.
 
-    Residue characteristic 2 falls outside the hypotheses of the order
-    constraint, so such inputs get an explicit out-of-scope status instead
-    of a set. At least one constraint must be supplied.
+    The report is {"allowed", "conditional", "reasons"}: the allowed types,
+    sorted, whether they rest on the Hodge conjecture, and one reason per
+    constraint. Residue characteristic 2 falls outside the hypotheses of the
+    order constraint, so such inputs get {"status", "reasons"} instead. At
+    least one constraint must be supplied.
+
+    >>> combine(m=5)
+    {'allowed': ['I'], 'conditional': False, 'reasons': ['order m = 5 allows {I}']}
+    >>> combine(m=4, e="imaginary_quadratic")["allowed"]
+    ['I', 'II']
     """
     if m is None and e is None and h is None:
         raise ValueError("at least one of m, e, h is required")
     if residue_char is not None and not is_prime(residue_char):
         raise ValueError(f"residue characteristic must be a prime, got {residue_char}")
     if residue_char == 2:
-        return Decision(
-            frozenset(),
-            reasons=("residue characteristic 2 is outside the hypotheses of the order constraint",),
-            outside_hypotheses=True,
-        )
+        return {
+            "status": "outside theorem hypotheses",
+            "reasons": ["residue characteristic 2 is outside the hypotheses of the order constraint"],
+        }
     allowed = ALL_TYPES
     conditional = False
     reasons = []
     if m is not None:
         types = allowed_types_from_m(m)
         allowed &= types
-        reasons.append(f"order m = {m} allows {{{', '.join(sorted(str(t) for t in types))}}}")
+        reasons.append(f"order m = {m} allows {_listed(types)}")
     if e is not None:
-        constraint = allowed_types_from_field(e)
-        allowed &= constraint.allowed
-        conditional = conditional or constraint.conditional
+        if e not in FIELD_CLASSES:
+            raise ValueError(f"unknown field class {e!r}")
+        types, conditional = FIELD_CLASSES[e]
+        allowed &= types
         reasons.append(
-            f"field class {e.value} allows "
-            f"{{{', '.join(sorted(str(t) for t in constraint.allowed))}}}"
-            + (" (conditional on the Hodge conjecture)" if constraint.conditional else "")
+            f"field class {e} allows {_listed(types)}" + (" (conditional on the Hodge conjecture)" if conditional else "")
         )
     if h is not None:
         types = allowed_types_from_height(h)
         allowed &= types
-        reasons.append(f"height {h} allows {{{', '.join(sorted(str(t) for t in types))}}}")
-    return Decision(allowed, conditional, tuple(reasons))
+        reasons.append(f"height {h} allows {_listed(types)}")
+    return {"allowed": sorted(str(t) for t in allowed), "conditional": conditional, "reasons": reasons}
 
 
 def moduli_dim(p: int, rank_s: int) -> int:

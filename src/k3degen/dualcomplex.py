@@ -40,6 +40,14 @@ def _require_json_ids(error, *groups):
             raise error(f"id {bad!r} is not a JSON string or integer")
 
 
+def _known_fields(error, data, names):
+    """Raise error naming the first field of the payload object data, in payload
+    order, that is not in names; a payload that is not an object passes here."""
+    for key in data if type(data) is dict else ():
+        if key not in names:
+            raise error(f"payload has unknown field {key!r}")
+
+
 def _section(error, data, name):
     """The JSON array data[name] of a payload object; a name ending in ? may be absent, reading []."""
     if type(data) is not dict:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 
-from .dualcomplex import _ID_TYPES, DeltaComplex, _read, _require_json_ids, sphere_failure
+from .dualcomplex import _ID_TYPES, DeltaComplex, _known_fields, _read, _require_json_ids, sphere_failure
 
 KINDS = ("rational", "elliptic_ruled", "k3")
 _NO_ID = object()  # a triple point given without an id is named t<k>, k its index
@@ -103,6 +103,7 @@ class SNCSurface:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SNCSurface":
+        _known_fields(ValueError, data, ("components", "double_curves", "triple_points"))
         (ids, b1, b2, kinds), fault = _read(ValueError, data, "components", ("id", "b1", "b2?", "kind?"))
         for cid, x, y, kind in zip(ids, b1, b2, kinds):
             # JSON true and 2.0 are not integers, however Python compares them

@@ -15,7 +15,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from k3degen import cli, corpus
 from k3degen.cli import _int_literal, _pretty, build_parser, run
-from k3degen.degeneration import HodgeFieldClass
+from k3degen.degeneration import FIELD_CLASSES
 from k3degen.dualcomplex import DeltaComplex
 from k3degen.sncfiber import KINDS, SNCSurface
 from test_dualcomplex import generated_complexes
@@ -78,6 +78,16 @@ class TestClassifyFiber:
         assert report["result"]["crosscheck"]["all_passed"] is True
         assert [row["dims"] for row in report["result"]["e1"]][2] == [4, 0, 32, 0, 4]
         assert report["input"]["components"][0]["id"] == "Z0"
+
+    def test_unknown_field_is_bad_input(self, capsys, tmp_path):
+        # a misspelled triple_points is not read as a fiber without triple points
+        misspelled = {("triple_point" if key == "triple_points" else key): value for key, value in TETRA_SURFACE.items()}
+        code, out, err = invoke(capsys, ["classify-fiber", payload_file(tmp_path, "tetra.json", misspelled)])
+        assert (code, out, err) == (1, "", "error: payload has unknown field 'triple_point'\n")
+        # the first unknown field in payload order is named
+        extra = {"name": "tetra", **TETRA_SURFACE, "comment": ""}
+        code, out, err = invoke(capsys, ["classify-fiber", payload_file(tmp_path, "tetra.json", extra)])
+        assert (code, out, err) == (1, "", "error: payload has unknown field 'name'\n")
 
     def test_e1_omitted_without_b2(self, capsys, tmp_path):
         surface = {
@@ -453,6 +463,13 @@ class TestOrientCommand:
         result = json.loads(out)["result"]
         assert result["orientable"] is True and result["action"] == -1
 
+    def test_unknown_field_is_bad_input(self, capsys, tmp_path):
+        # a misspelled automorphism is named, not dropped
+        payload = json.loads((GOLDEN / "tetrahedron_orient.json").read_text())
+        payload["automorphisms"] = payload.pop("automorphism")
+        code, out, err = invoke(capsys, ["orient", payload_file(tmp_path, "tetra.json", payload)])
+        assert (code, out, err) == (1, "", "error: payload has unknown field 'automorphisms'\n")
+
     def test_non_orientable_exits_2(self, capsys, tmp_path):
         rp2 = {
             "vertices": ["v", "w"],
@@ -730,6 +747,12 @@ class TestEulerCommand:
         code, out, _ = invoke(capsys, ["euler", payload_file(tmp_path, "fibers.json", {"fibers": {"I2": 10**30}})])
         assert code == 2
         assert json.loads(out)["result"]["error"]["constraint"] == "ImpossibleConfiguration"
+
+    def test_fibers_stand_alone(self, capsys, tmp_path):
+        # beside fibers, any other field is named, not ignored
+        for payload in ({"fibers": ["I1"], "II": 5}, {"II": 5, "fibers": ["I1"]}):
+            code, out, err = invoke(capsys, ["euler", payload_file(tmp_path, "fibers.json", payload)])
+            assert (code, out, err) == (1, "", "error: payload has unknown field 'II'\n")
 
     def test_non_string_label_is_bad_input(self, capsys, tmp_path):
         path = payload_file(tmp_path, "fibers.json", ["II", 3])
@@ -1242,7 +1265,7 @@ _ARG_VALUES = (
     | st.integers(-(10**40), 10**40).map(str)
     | st.sampled_from([0, 1, 2, 10**5, 10**5 + 1, 10**30 + 1, 3317044064679887385961981]).map(str)
     | st.sampled_from(["inf", "infinite", "1e5", "0x10", " 7 ", "1_000", "-1", "-", "", "--m", ".", "/", "\x00"])
-    | st.sampled_from([c.value for c in HodgeFieldClass] + ["char0", "finite-field", "finite-height", "liftable"])
+    | st.sampled_from(list(FIELD_CLASSES) + ["char0", "finite-field", "finite-height", "liftable"])
     | st.text(max_size=8)
 )
 # lattice names: every named lattice and A<n> in each spelling, with small n (the caps are examples)

@@ -4,11 +4,9 @@ import pytest
 
 from k3degen.cyclotomic import bounded_orders, euler_phi
 from k3degen.degeneration import (
+    FIELD_CLASSES,
     INFINITE_HEIGHT,
-    Decision,
-    HodgeFieldClass,
     allowed_m_from_type,
-    allowed_types_from_field,
     allowed_types_from_height,
     allowed_types_from_m,
     combine,
@@ -68,16 +66,20 @@ class TestAllowedMFromType:
                 assert (t in allowed_types_from_m(m)) == (m in allowed_m_from_type(t))
 
 
-class TestAllowedTypesFromField:
+class TestFieldClasses:
     def test_tables_and_conditionality(self):
-        c = allowed_types_from_field(HodgeFieldClass.CM_DEGREE_GT2)
-        assert c.allowed == {I} and not c.conditional
-        c = allowed_types_from_field(HodgeFieldClass.TOTALLY_REAL_DEGREE_GT1)
-        assert c.allowed == {I} and c.conditional
-        c = allowed_types_from_field(HodgeFieldClass.IMAGINARY_QUADRATIC)
-        assert c.allowed == {I, II} and not c.conditional
-        c = allowed_types_from_field(HodgeFieldClass.RATIONAL)
-        assert c.allowed == {I, II, III} and not c.conditional
+        assert FIELD_CLASSES == {
+            "rational": ({I, II, III}, False),
+            "imaginary_quadratic": ({I, II}, False),
+            "cm_degree_gt2": ({I}, False),
+            "totally_real_degree_gt1": ({I}, True),
+        }
+        assert list(FIELD_CLASSES) == ["rational", "imaginary_quadratic", "cm_degree_gt2", "totally_real_degree_gt1"]
+
+    def test_unknown_name(self):
+        for bad in ("RATIONAL", "cm", ""):
+            with pytest.raises(ValueError, match="unknown field class"):
+                combine(e=bad)
 
 
 class TestAllowedTypesFromHeight:
@@ -102,46 +104,45 @@ class TestAllowedTypesFromHeight:
         for bad in (math.inf, True, False, 1.0, "inf"):
             with pytest.raises(ValueError):
                 allowed_types_from_height(bad)
-        assert "height infinite allows {I}" in combine(h=INFINITE_HEIGHT).reasons
+        assert "height infinite allows {I}" in combine(h=INFINITE_HEIGHT)["reasons"]
 
 
 class TestCombine:
     def test_intersections(self):
-        assert combine(m=3, h=3).allowed == {I}
-        assert combine(m=1).allowed == {I, II, III}
-        assert combine(e=HodgeFieldClass.IMAGINARY_QUADRATIC, m=4).allowed == {I, II}
+        assert combine(m=3, h=3)["allowed"] == ["I"]
+        assert combine(m=1)["allowed"] == ["I", "II", "III"]
+        assert combine(e="imaginary_quadratic", m=4)["allowed"] == ["I", "II"]
 
     def test_combination_contained_in_each_constraint(self):
         for m in (1, 2, 4, 5):
             for h in (1, 2, 3):
-                d = combine(m=m, h=h)
-                assert d.allowed <= allowed_types_from_m(m)
-                assert d.allowed <= allowed_types_from_height(h)
-                assert I in d.allowed
+                allowed = set(combine(m=m, h=h)["allowed"])
+                assert allowed <= {str(t) for t in allowed_types_from_m(m)}
+                assert allowed <= {str(t) for t in allowed_types_from_height(h)}
+                assert "I" in allowed
 
     def test_conditional_flag_propagates(self):
-        d = combine(m=2, e=HodgeFieldClass.TOTALLY_REAL_DEGREE_GT1)
-        assert d.conditional and d.allowed == {I}
-        d = combine(m=2, e=HodgeFieldClass.CM_DEGREE_GT2)
-        assert not d.conditional
+        d = combine(m=2, e="totally_real_degree_gt1")
+        assert d["conditional"] and d["allowed"] == ["I"]
+        assert d["reasons"][1] == "field class totally_real_degree_gt1 allows {I} (conditional on the Hodge conjecture)"
+        assert not combine(m=2, e="cm_degree_gt2")["conditional"]
 
     def test_reasons_recorded(self):
-        d = combine(m=5, h=2)
-        assert len(d.reasons) == 2
+        assert combine(m=5, h=2)["reasons"] == ["order m = 5 allows {I}", "height 2 allows {I, II}"]
 
     def test_requires_a_constraint(self):
         with pytest.raises(ValueError):
             combine()
 
     def test_residue_characteristic_two_is_out_of_scope(self):
-        d = combine(m=4, residue_char=2)
-        assert d.outside_hypotheses
-        assert d.to_json_dict()["status"] == "outside theorem hypotheses"
-        assert combine(m=4, residue_char=3).allowed == {I, II}
+        assert combine(m=4, residue_char=2) == {
+            "status": "outside theorem hypotheses",
+            "reasons": ["residue characteristic 2 is outside the hypotheses of the order constraint"],
+        }
+        assert combine(m=4, residue_char=3)["allowed"] == ["I", "II"]
 
     def test_json_shape(self):
-        data = combine(m=5).to_json_dict()
-        assert data == {
+        assert combine(m=5) == {
             "allowed": ["I"],
             "conditional": False,
             "reasons": ["order m = 5 allows {I}"],

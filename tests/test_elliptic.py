@@ -2,13 +2,7 @@ import random
 
 import pytest
 
-from k3degen.elliptic import (
-    FiberConfiguration,
-    ImpossibleConfiguration,
-    KodairaFiber,
-    component_count,
-    euler_number,
-)
+from k3degen.elliptic import FiberConfiguration, ImpossibleConfiguration, fiber_numbers
 from k3degen.lattice import direct_sum, hyperbolic_plane, root_lattice_a
 
 
@@ -16,57 +10,56 @@ def config(*labels):
     return FiberConfiguration(labels)
 
 
-class TestKodairaFiber:
-    def test_parse_and_str(self):
-        for label in ("I1", "I11", "I0*", "I4*", "II", "III", "IV", "II*", "III*", "IV*"):
-            assert str(KodairaFiber.parse(label)) == label
-
+class TestKodairaLabels:
     def test_parse_errors(self):
         # labels are read as typed: no space, non-ASCII digit or leading zero is coerced
         for label in ("I0", "V", "I-1", "II**", "", " I1 ", "I1\n", "I\u0663", "I01", "I00*", " II"):
             with pytest.raises(ValueError):
-                KodairaFiber.parse(label)
+                fiber_numbers(label)
 
-    def test_constructor_guards(self):
-        with pytest.raises(ValueError):
-            KodairaFiber("I")
-        with pytest.raises(ValueError):
-            KodairaFiber("II", 3)
-        assert KodairaFiber("I*", 0).n == 0
+    def test_error_texts(self):
+        with pytest.raises(ValueError, match=r"^I\(n\) requires n >= 1$"):
+            fiber_numbers("I0")
+        with pytest.raises(ValueError, match="^Kodaira fiber label must be a string, got 1$"):
+            fiber_numbers(1)
+        with pytest.raises(ValueError, match="^cannot parse Kodaira fiber label 'V'$"):
+            fiber_numbers("V")
+        # an index with more digits than int() converts is a label that does not parse
+        with pytest.raises(ValueError, match="^cannot parse Kodaira fiber label 'I9"):
+            fiber_numbers("I" + "9" * 5000)
 
 
 class TestEulerNumbers:
     def test_values_pinned_by_the_order11_family(self):
         # 12 x II sums to 24, and II + 22 x I1 sums to 24: these force
         # e(II) = 2 and e(I1) = 1; the boundary member forces e(I11) = 11
-        assert euler_number(KodairaFiber.parse("II")) == 2
-        assert euler_number(KodairaFiber.parse("I1")) == 1
-        assert euler_number(KodairaFiber.parse("I11")) == 11
+        assert fiber_numbers("II")[0] == 2
+        assert fiber_numbers("I1")[0] == 1
+        assert fiber_numbers("I11")[0] == 11
 
     def test_table(self):
         values = {
-            "I5": 5,
-            "I0*": 6,
-            "I3*": 9,
-            "II": 2,
-            "III": 3,
-            "IV": 4,
-            "IV*": 8,
-            "III*": 9,
-            "II*": 10,
+            "I5": (5, 5),
+            "I0*": (6, 5),
+            "I3*": (9, 8),
+            "II": (2, 1),
+            "III": (3, 2),
+            "IV": (4, 3),
+            "IV*": (8, 7),
+            "III*": (9, 8),
+            "II*": (10, 9),
         }
         for label, expected in values.items():
-            assert euler_number(KodairaFiber.parse(label)) == expected
+            assert fiber_numbers(label) == expected
 
     def test_euler_at_least_components(self):
         labels = ["I1", "I7", "I0*", "I2*", "II", "III", "IV", "II*", "III*", "IV*"]
         for label in labels:
-            f = KodairaFiber.parse(label)
-            assert euler_number(f) >= component_count(f)
-            if f.kind == "I":
-                assert euler_number(f) == component_count(f)
+            euler, components = fiber_numbers(label)
+            if label[-1] != "*" and label[1:].isdigit():  # I<n>
+                assert euler == components
             else:
-                assert euler_number(f) > component_count(f)
+                assert euler > components
 
 
 class TestConfigurations:
@@ -108,9 +101,13 @@ class TestConfigurations:
             assert c.euler_sum() == 24 and c.trivial_lattice_rank() == 12
 
     def test_fibers_are_given_by_label(self):
-        assert FiberConfiguration(["I1", "II"]).fibers == {KodairaFiber("I", 1): 1, KodairaFiber("II"): 1}
-        with pytest.raises(ValueError, match="Kodaira fiber label must be a string"):
-            FiberConfiguration([KodairaFiber("I", 1)])
+        assert FiberConfiguration(["I1", "II", "I1"]).fibers == {"I1": 2, "II": 1}
+        # checked in order before counting, so an unhashable item is bad input, not a TypeError
+        for bad in (["I1"], {"I": 1}, 1):
+            with pytest.raises(ValueError, match="Kodaira fiber label must be a string"):
+                FiberConfiguration(["I1", bad])
+        with pytest.raises(ValueError, match="cannot parse Kodaira fiber label 'V'"):
+            FiberConfiguration(["V", ["I1"]])
 
     def test_from_json_list_and_dict_agree(self):
         a = FiberConfiguration.from_json(["II", "I1", "I1"])
@@ -131,3 +128,8 @@ class TestConfigurations:
     def test_json_dict(self):
         c = FiberConfiguration.from_json({"I1": 2, "II": 1})
         assert c.to_json_dict() == {"I1": 2, "II": 1}
+
+    def test_json_dict_keys_are_the_labels_given(self):
+        labels = ["I1", "I11", "I0*", "I4*", "II", "III", "IV", "II*", "III*", "IV*"]
+        for c in (FiberConfiguration.from_json(labels), FiberConfiguration.from_json(dict.fromkeys(labels, 2))):
+            assert list(c.to_json_dict()) == sorted(labels)
