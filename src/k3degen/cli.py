@@ -12,31 +12,43 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import importlib.util
 import json
 import math
 import re
 import sys
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
-from . import autorders, corpus, degeneration, lattice
-from .cyclotomic import bounded_orders
-from .dualcomplex import (
-    ComplexAutomorphism,
-    DeltaComplex,
-    InvalidComplex,
-    NonOrientable,
-    _known_fields,
-    orient,
-    orientation_action,
+
+def _lazy(name: str):
+    """The module k3degen.<name>, put in sys.modules and on the package as an import
+    would, but run only when one of its attributes is first read (importlib.util.LazyLoader),
+    so a cold command runs only the modules it uses; a module already imported is returned
+    unchanged. Importing the module by name runs it too, so this module reads library
+    names as module.name. LazyLoader takes no lock when a module first runs, so the CLI
+    loads modules from one thread."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# no handler reads _linalg; it is registered so that every module of the package but
+# _record is in sys.modules once the CLI is imported, for tools that look them up there
+_lazy("_linalg")
+autorders, corpus, cyclotomic, degeneration, dualcomplex, elliptic, lattice, sncfiber = map(
+    _lazy, ("autorders", "corpus", "cyclotomic", "degeneration", "dualcomplex", "elliptic", "lattice", "sncfiber")
 )
-from .elliptic import FiberConfiguration, ImpossibleConfiguration
-from .sncfiber import MissingBetti, NotKulikov, SNCSurface, crosscheck, e1_page, grw_dims
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
 EXIT_CONSTRAINT = 2
-
-_INPUT_ERRORS = (ValueError, InvalidComplex, MissingBetti, OSError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -135,7 +147,7 @@ def _pretty(obj, depth: int = 0) -> str:
     return f"{opening}\n{inner}{body}\n{'  ' * depth}{closing}"
 
 
-def _echo_surface(surface: SNCSurface) -> str:
+def _echo_surface(surface: sncfiber.SNCSurface) -> str:
     """The fiber as read, exactly as _pretty prints its payload dict at depth 1, from one
     template per cell. from_json_dict lets through only str and int ids and int numbers,
     so each scalar is one encoder call."""
@@ -208,15 +220,15 @@ def _refusal(exc: Exception) -> dict:
 
 
 def _cmd_classify_fiber(args):
-    surface = SNCSurface.from_json_dict(_read_payload(args.payload))
+    surface = sncfiber.SNCSurface.from_json_dict(_read_payload(args.payload))
     inputs = _echo_surface(surface)
     try:
-        t, check = crosscheck(surface)
-    except NotKulikov as exc:
+        t, check = sncfiber.crosscheck(surface)
+    except sncfiber.NotKulikov as exc:
         return inputs, _refusal(exc), f"not a Kulikov fiber: {exc}", EXIT_CONSTRAINT
-    result = {"type": str(t), "grw": list(grw_dims(t)), "crosscheck": check}
+    result = {"type": str(t), "grw": list(degeneration.grw_dims(t)), "crosscheck": check}
     if None not in surface.b2:
-        result["e1"] = [{"p": p, "dims": row} for p, row in zip(range(-2, 3), e1_page(surface))]
+        result["e1"] = [{"p": p, "dims": row} for p, row in zip(range(-2, 3), sncfiber.e1_page(surface))]
     return inputs, result, f"Type {t}, grw = {result['grw']}", EXIT_OK
 
 
@@ -263,7 +275,7 @@ def _cmd_orders(args):
     if args.max_t is not None:
         powers = autorders.wild_prime_powers(args.max_t)
         return {"max_t": args.max_t}, {"prime_powers": powers}, f"{len(powers)} prime powers", EXIT_OK
-    orders = bounded_orders(args.phi_bound)
+    orders = cyclotomic.bounded_orders(args.phi_bound)
     result = {"orders": orders, "max": max(orders)}
     return {"phi_bound": args.phi_bound}, result, f"{len(orders)} orders, max {max(orders)}", EXIT_OK
 
@@ -279,12 +291,12 @@ def _cmd_ss_check(args):
 
 def _cmd_orient(args):
     payload = _read_payload(args.payload)
-    _known_fields(ValueError, payload, ("vertices", "edges", "triangles", "automorphism"))
-    complex_ = DeltaComplex.from_json_dict(payload)
+    dualcomplex._known_fields(ValueError, payload, ("vertices", "edges", "triangles", "automorphism"))
+    complex_ = dualcomplex.DeltaComplex.from_json_dict(payload)
     inputs = complex_.to_json_dict()
     try:
-        orientation = orient(complex_)
-    except NonOrientable as exc:
+        orientation = dualcomplex.orient(complex_)
+    except dualcomplex.NonOrientable as exc:
         return inputs, _refusal(exc), f"non-orientable: {exc}", EXIT_CONSTRAINT
     result = {
         "orientable": True,
@@ -294,8 +306,8 @@ def _cmd_orient(args):
     }
     if "automorphism" not in payload:
         return inputs, result, "orientable", EXIT_OK
-    g = ComplexAutomorphism.from_json_dict(complex_, payload["automorphism"])
-    result["action"] = orientation_action(complex_, g)
+    g = dualcomplex.ComplexAutomorphism.from_json_dict(complex_, payload["automorphism"])
+    result["action"] = dualcomplex.orientation_action(complex_, g)
     maps = {"vertex_map": g.vertex_map, "edge_map": g.edge_map, "triangle_map": g.triangle_map}
     return {"complex": inputs, "automorphism": maps}, result, f"orientable, action {result['action']:+d}", EXIT_OK
 
@@ -305,13 +317,14 @@ def _cmd_euler(args):
         raise ValueError(f"characteristic must be a prime, got {args.characteristic}")
     payload = _read_payload(args.payload)
     if isinstance(payload, dict) and "fibers" in payload:  # else the payload is the multiset itself
-        _known_fields(ValueError, payload, ("fibers",))
+        if len(payload) > 1:  # _known_fields' text, without running dualcomplex for it
+            raise ValueError(f"payload has unknown field {next(key for key in payload if key != 'fibers')!r}")
         payload = payload["fibers"]
-    config = FiberConfiguration.from_json(payload)
+    config = elliptic.FiberConfiguration.from_json(payload)
     inputs = {"fibers": config.to_json_dict(), "characteristic": args.characteristic}
     try:
         rank = config.trivial_lattice_rank()
-    except ImpossibleConfiguration as exc:
+    except elliptic.ImpossibleConfiguration as exc:
         return inputs, _refusal(exc), str(exc), EXIT_CONSTRAINT
     result = {
         "euler_sum": config.euler_sum(),
@@ -518,11 +531,19 @@ def run(argv) -> int:
     try:
         inputs, result, summary, code = args.func(args)
         _emit(command, inputs, result)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    # the second tuple is read only when an exception reaches it, so that reading it
+    # runs no module the command left unrun
+    except (ValueError, OSError) as exc:
+        return _input_error(exc)
+    except (dualcomplex.InvalidComplex, sncfiber.MissingBetti) as exc:
+        return _input_error(exc)
     print(summary, file=sys.stderr)
     return code
+
+
+def _input_error(exc: Exception) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return EXIT_BAD_INPUT
 
 
 def main() -> None:

@@ -17,7 +17,7 @@ from ._record import Record
 from .cyclotomic import CycloFactorization, bounded_orders, factor_into_cyclotomics
 from .dualcomplex import ComplexAutomorphism, DeltaComplex, orientation_action
 from .elliptic import FiberConfiguration
-from .sncfiber import KulikovType, SNCSurface, crosscheck, grw_dims
+from .sncfiber import SNCSurface, crosscheck
 
 
 class FixtureResult(Record):
@@ -38,7 +38,7 @@ def _parse_factors(raw: dict) -> CycloFactorization:
 
 def _check_grw_table(data):
     for name, expect in data["expect"].items():
-        dims = grw_dims(KulikovType(name))
+        dims = degeneration.grw_dims(degeneration.KulikovType(name))
         if list(dims) != list(expect):
             return False, f"type {name}: got {list(dims)}, expected {expect}"
         if sum(dims) != 22 or any(dims[n] != dims[4 - n] for n in range(5)):
@@ -50,7 +50,7 @@ def _check_classify_fiber(data):
     t, report = crosscheck(SNCSurface.from_json_dict(data["surface"]))
     if str(t) != data["expect"]["type"]:
         return False, f"classified {t}, expected {data['expect']['type']}"
-    dims = list(grw_dims(t))
+    dims = list(degeneration.grw_dims(t))
     if dims != data["expect"]["grw"]:
         return False, f"grw {dims}, expected {data['expect']['grw']}"
     if not report["all_passed"]:

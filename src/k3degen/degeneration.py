@@ -1,7 +1,8 @@
-"""Which Kulikov degeneration types a K3 surface admits, given the order of
-its non-symplectic automorphisms, its Hodge endomorphism field class, or its
-formal Brauer height, plus the dimension bookkeeping for the moduli spaces
-of prime-order non-symplectic pairs.
+"""The Kulikov types I, II and III with the weight-graded dimensions of H^2
+each one carries (KulikovType, grw_dims), and which of them a K3 surface
+admits, given the order of its non-symplectic automorphisms, its Hodge
+endomorphism field class, or its formal Brauer height, plus the dimension
+bookkeeping for the moduli spaces of prime-order non-symplectic pairs.
 
 The engine encodes theorem statements, not proofs: every constraint is a
 subset of {I, II, III}, and independent constraints intersect. Type I (good
@@ -17,11 +18,33 @@ derived here.
 
 from __future__ import annotations
 
+import enum
 from functools import lru_cache
 
 from .autorders import is_prime
 from .cyclotomic import bounded_orders
-from .sncfiber import KulikovType, grw_dims
+
+
+class KulikovType(enum.Enum):
+    I = "I"
+    II = "II"
+    III = "III"
+
+    def __str__(self):
+        return self.value
+
+
+_GRW_TABLE = {
+    KulikovType.I: (0, 0, 22, 0, 0),
+    KulikovType.II: (0, 2, 18, 2, 0),
+    KulikovType.III: (1, 0, 20, 0, 1),
+}
+
+
+def grw_dims(t: KulikovType) -> tuple:
+    """The weight-graded dimensions of H^2 attached to a Kulikov type, pieces 0..4."""
+    return _GRW_TABLE[t]
+
 
 ALL_TYPES = frozenset(KulikovType)
 

@@ -65,10 +65,10 @@ def _section(error, data, name):
 def _read(error, data, section, fields, absent=None):
     """The cells of the JSON array data[section] as one list per field, then None. A
     field x? may be absent, reading absent; a field x[] must be a JSON array. When a
-    cell is not a JSON object or a field is missing or not an array, the lists stop
-    before that cell, and the error naming its section, index and field comes in
-    place of None: the caller checks the values of the cells before it, then raises
-    it, so that faults are reported cell by cell."""
+    cell is not a JSON object, a field is missing or not an array, or the cell has a
+    field not in fields, the lists stop before that cell, and the error naming its
+    section, index and field comes in place of None: the caller checks the values of
+    the cells before it, then raises it, so that faults are reported cell by cell."""
     cells = _section(error, data, section)
     section, specs = section.rstrip("?"), [(f, f.rstrip("?").removesuffix("[]")) for f in fields]
 
@@ -84,7 +84,15 @@ def _read(error, data, section, fields, absent=None):
         for (f, _), col in zip(specs, out)
         if "[]" in f
     ):
-        return out, None
+        # a key the columns did not read makes the cells hold more keys than they took;
+        # a given null in an x? field reads as absent, so it too sends the cells to the scan
+        read = len(cells) * len(specs)
+        for (f, _), col in zip(specs, out):
+            if f[-1] == "?":
+                read -= col.count(absent)
+        if sum(map(len, cells)) == read:
+            return out, None
+    names = {n for _, n in specs}
     for k, cell in enumerate(cells):
         if type(cell) is not dict:
             return columns(cells[:k]), error(f"{section}[{k}] must be a JSON object, got {cell!r}")
@@ -93,6 +101,10 @@ def _read(error, data, section, fields, absent=None):
                 return columns(cells[:k]), error(f"{section}[{k}] has no field {n!r}")
             if n in cell and "[]" in f and type(cell[n]) is not list:
                 return columns(cells[:k]), error(f"{section}[{k}].{n} must be a JSON array, got {cell[n]!r}")
+        for key in cell:
+            if key not in names:
+                return columns(cells[:k]), error(f"{section}[{k}] has unknown field {key!r}")
+    return out, None
 
 
 def _classes(n, joins):
@@ -521,6 +533,9 @@ class ComplexAutomorphism:
             maps = data["vertex_map"], data["edge_map"], data["triangle_map"]
         except KeyError as exc:
             raise InvalidComplex(f"malformed automorphism payload: missing {exc}") from exc
+        if len(data) != 3:
+            extra = next(key for key in data if key not in ("vertex_map", "edge_map", "triangle_map"))
+            raise InvalidComplex(f"malformed automorphism payload: unknown field {extra!r}")
         names = ("vertex", "edge", "triangle")
         for name, mapping in zip(names, maps):
             if type(mapping) is not dict:

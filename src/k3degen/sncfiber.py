@@ -1,5 +1,7 @@
-"""Combinatorial semistable K3 fibers: Kulikov classification, weight-graded
-dimension tables, and first-page dimensions of the weight spectral sequence.
+"""Combinatorial semistable K3 fibers: Kulikov classification, the crosscheck
+of a type's weight-graded dimensions (KulikovType and grw_dims live in
+degeneration) against the dual complex, and first-page dimensions of the
+weight spectral sequence.
 
 The input is purely combinatorial: components with first Betti numbers
 (second Betti numbers optional), double curves with genera, and triple
@@ -10,9 +12,9 @@ b1 = 2, the weakest testable surrogate for the birational conditions.
 
 from __future__ import annotations
 
-import enum
 from collections import Counter
 
+from .degeneration import _GRW_TABLE, KulikovType
 from .dualcomplex import _ID_TYPES, DeltaComplex, _known_fields, _read, _require_json_ids, sphere_failure
 
 KINDS = ("rational", "elliptic_ruled", "k3")
@@ -25,15 +27,6 @@ class NotKulikov(Exception):
 
 class MissingBetti(Exception):
     """Raised when an operation needs b2 data that a component lacks."""
-
-
-class KulikovType(enum.Enum):
-    I = "I"
-    II = "II"
-    III = "III"
-
-    def __str__(self):
-        return self.value
 
 
 class SNCSurface:
@@ -150,18 +143,6 @@ class SNCSurface:
                 if pid is _NO_ID and point_ids[k] in taken:
                     raise ValueError(f"triple_points[{k}] has no id, and its default id {point_ids[k]!r} is another point's id")
         return cls(ids, b1, b2, kinds, curve_ids, ends, genus, point_ids, point_curves)
-
-
-_GRW_TABLE = {
-    KulikovType.I: (0, 0, 22, 0, 0),
-    KulikovType.II: (0, 2, 18, 2, 0),
-    KulikovType.III: (1, 0, 20, 0, 1),
-}
-
-
-def grw_dims(t: KulikovType) -> tuple:
-    """The weight-graded dimensions of H^2 attached to a Kulikov type, pieces 0..4."""
-    return _GRW_TABLE[t]
 
 
 def _is_rational(b1, kind) -> bool:

@@ -14,8 +14,9 @@ import itertools
 import math
 from fractions import Fraction
 
+from k3degen.degeneration import KulikovType
 from k3degen.dualcomplex import ComplexAutomorphism, DeltaComplex, InvalidComplex
-from k3degen.sncfiber import KulikovType, SNCSurface
+from k3degen.sncfiber import SNCSurface
 
 
 # -- number theory ----------------------------------------------------------

@@ -14,11 +14,11 @@ from k3degen.cyclotomic import (
     euler_phi,
     factor_into_cyclotomics,
 )
-from k3degen.degeneration import allowed_m_from_type, allowed_types_from_m, moduli_dim
+from k3degen.degeneration import KulikovType, allowed_m_from_type, allowed_types_from_m, grw_dims, moduli_dim
 from k3degen.dualcomplex import orientation_action, sphere_failure
 from k3degen.elliptic import FiberConfiguration
 from k3degen.lattice import direct_sum, hyperbolic_plane, k3_lattice, rescale, root_lattice_a
-from k3degen.sncfiber import KulikovType, classify, grw_dims
+from k3degen.sncfiber import classify
 
 import oracles
 

@@ -16,7 +16,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
-@pytest.mark.parametrize("workload", ["type3_ladder", "non_kulikov", "arithmetic_queries"])
+# cli_cold's benchmark process only imports k3degen.cli, and its tracer must still find every module
+@pytest.mark.parametrize("workload", ["type3_ladder", "non_kulikov", "arithmetic_queries", "cli_cold"])
 def test_traced_quick_run(workload):
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
             "--quick", "--trace", "1", "--seconds", "1"]

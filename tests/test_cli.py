@@ -89,6 +89,34 @@ class TestClassifyFiber:
         code, out, err = invoke(capsys, ["classify-fiber", payload_file(tmp_path, "tetra.json", extra)])
         assert (code, out, err) == (1, "", "error: payload has unknown field 'name'\n")
 
+    def test_unknown_cell_field_is_bad_input(self, capsys, tmp_path):
+        # a misspelled b2 is not read as a component without b2
+        smooth = {"components": [{"id": "X", "b1": 0, "b_2": 22, "kind": "k3"}], "double_curves": []}
+        code, out, err = invoke(capsys, ["classify-fiber", payload_file(tmp_path, "smooth.json", smooth)])
+        assert (code, out, err) == (1, "", "error: components[0] has unknown field 'b_2'\n")
+        # a given null reads as absent, so the key count differs but no key is unknown
+        smooth = {"components": [{"id": "X", "b1": 0, "b2": None, "kind": None}], "double_curves": []}
+        assert invoke(capsys, ["classify-fiber", payload_file(tmp_path, "smooth.json", smooth)])[0] == 0
+
+        def with_cells(section, cells):
+            return {**TETRA_SURFACE, section: [cells.get(i, c) for i, c in enumerate(TETRA_SURFACE[section])]}
+
+        cases = [  # the first fault in payload order is named, cell by cell
+            (with_cells("double_curves", {2: {"genus": 0, "note": "", **TETRA_SURFACE["double_curves"][2], "x": 1}}),
+             "double_curves[2] has unknown field 'note'"),
+            (with_cells("triple_points", {1: {"curves": TETRA_SURFACE["triple_points"][1]["curves"], "name": "P"}}),
+             "triple_points[1] has unknown field 'name'"),
+            (with_cells("components", {3: {"id": "Z3", "b1": "0"}}) | {"triple_points": [{"curves": [], "z": 0}]},
+             "component 'Z3': b1 must be an integer, got '0'"),
+            (with_cells("components", {1: {"id": "Z1", "b1": 0, "genus": 0}, 3: {"id": "Z3"}}),
+             "components[1] has unknown field 'genus'"),
+            (with_cells("components", {1: {"id": "Z1", "b1": -1}, 3: {"id": "Z3", "b1": 0, "genus": 0}}),
+             "component 'Z1': Betti numbers must be nonnegative"),
+        ]
+        for surface, message in cases:
+            code, out, err = invoke(capsys, ["classify-fiber", payload_file(tmp_path, "tetra.json", surface)])
+            assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_e1_omitted_without_b2(self, capsys, tmp_path):
         surface = {
             "components": [{"id": "X", "b1": 0, "kind": "k3"}],
@@ -470,6 +498,13 @@ class TestOrientCommand:
         code, out, err = invoke(capsys, ["orient", payload_file(tmp_path, "tetra.json", payload)])
         assert (code, out, err) == (1, "", "error: payload has unknown field 'automorphisms'\n")
 
+    def test_unknown_cell_field_is_bad_input(self, capsys, tmp_path):
+        payload = json.loads((GOLDEN / "tetrahedron_orient.json").read_text())
+        for section, k, key in (("edges", 4, "w"), ("triangles", 0, "sign"), ("triangles", 3, "signs ")):
+            cells = [{**cell, key: [1, 1, 1]} if i == k else cell for i, cell in enumerate(payload[section])]
+            code, out, err = invoke(capsys, ["orient", payload_file(tmp_path, "tetra.json", {**payload, section: cells})])
+            assert (code, out, err) == (1, "", f"error: {section}[{k}] has unknown field {key!r}\n")
+
     def test_non_orientable_exits_2(self, capsys, tmp_path):
         rp2 = {
             "vertices": ["v", "w"],
@@ -552,15 +587,16 @@ class TestOrientCommand:
                 assert (code, out, err) == (1, "", f"error: {key} maps {first!r} to {image!r}, not to a JSON string\n")
 
     def test_echo_holds_the_three_maps_only(self, capsys, tmp_path):
-        # an extra key is not echoed, so its nesting cannot exhaust the report printer
+        # an extra key is bad input, so neither it nor its nesting reaches the report printer
         payload = json.loads((GOLDEN / "tetrahedron_orient.json").read_text())
         extra = 0
         for _ in range(600):
             extra = [extra]
-        deep = {**payload, "automorphism": {**payload["automorphism"], "extra": extra}}
-        plain = invoke(capsys, ["orient", payload_file(tmp_path, "plain.json", payload)])
-        assert plain[0] == 0
-        assert invoke(capsys, ["orient", payload_file(tmp_path, "deep.json", deep)]) == plain
+        deep = {**payload, "automorphism": {"extra": extra, **payload["automorphism"], "other": 1}}
+        assert invoke(capsys, ["orient", payload_file(tmp_path, "plain.json", payload)])[0] == 0
+        assert invoke(capsys, ["orient", payload_file(tmp_path, "deep.json", deep)]) == (
+            1, "", "error: malformed automorphism payload: unknown field 'extra'\n"
+        )
 
     def test_repeated_edge_or_triangle_is_bad_input(self, capsys, tmp_path):
         tetra = {
@@ -971,6 +1007,62 @@ class TestColdStart:
         assert json.JSONDecoder().raw_decode(proc.stdout)[0]["result"] == {"max": 6, "orders": [1, 2, 3, 4, 6]}
         # a plain argv builds no parser; one that only argparse reads builds that command's alone
         assert json.loads(proc.stderr.splitlines()[-1]) == [0, 0, 0, 1]
+
+    def test_a_command_runs_only_the_modules_it_uses(self, tmp_path):
+        # a module that has not run is still LazyLoader's subclass of ModuleType; reading
+        # any attribute of it would run it, so the child looks only at its type
+        script = (
+            "import json, sys, types\n"
+            "import k3degen.cli\n"
+            "registered = sorted(n for n in sys.modules if n.startswith('k3degen.'))\n"
+            "code = k3degen.cli.run(sys.argv[1:])\n"
+            "ran = sorted(n for n, m in list(sys.modules.items()) if n.startswith('k3degen.') and type(m) is types.ModuleType)\n"
+            "print(json.dumps([code, registered, ran]), file=sys.stderr)\n"
+        )
+        fibers = tmp_path / "fibers.json"
+        fibers.write_text(json.dumps({"fibers": ["I1"] * 24}))
+        base = ["_record", "autorders", "cli", "cyclotomic", "degeneration"]  # degeneration names --field's choices
+        commands = [
+            (["orders", "--max-t", "20"], base),
+            (["orders", "--phi-bound", "4"], base),
+            (["charpoly", "--m", "3", "--t-rank", "2"], base),
+            (["ss-check", "--m", "5", "--p", "2"], base),
+            (["allowed-types", "--m", "4", "--field", "rational", "--height", "2", "--char", "3"], base),
+            (["euler", str(fibers), "--characteristic", "5"], base + ["elliptic"]),
+            (["lattice", "K3", "A2"], base + ["_linalg", "lattice"]),
+        ]
+        _workloads()  # puts bench/ on sys.path
+        import spans
+
+        for argv, modules in commands:
+            proc = subprocess.run(
+                [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=_src_env(), timeout=60
+            )
+            code, registered, ran = json.loads(proc.stderr.splitlines()[-1])
+            assert code == 0, argv
+            # the benchmark's tracer looks each module up in sys.modules
+            assert {f"k3degen.{m}" for m in spans.MODULES} <= set(registered)
+            assert ran == sorted(f"k3degen.{m}" for m in modules), argv
+
+    @pytest.mark.parametrize("first", ["degeneration", "sncfiber"])
+    def test_a_module_imported_before_the_cli_is_kept(self, first):
+        # the CLI takes a module already imported as it is: one object per module, one KulikovType
+        script = (
+            "import enum, json, sys\n"
+            f"import k3degen.{first}\n"
+            f"before = sys.modules['k3degen.{first}']\n"
+            "from k3degen import cli, degeneration, sncfiber\n"
+            "package = sys.modules['k3degen']\n"
+            "modules = {n: m for n, m in sys.modules.items() if n.startswith('k3degen.')}\n"
+            "kept = sorted(n for n, m in modules.items() if getattr(package, n[8:]) is m and vars(cli).get(n[8:], m) is m)\n"
+            "kinds = [c for c in enum.Enum.__subclasses__() if c.__name__ == 'KulikovType']\n"
+            f"same = before is sys.modules['k3degen.{first}'] and sncfiber.KulikovType is degeneration.KulikovType\n"
+            "print(json.dumps([len(modules), kept == sorted(modules), len(kinds), same]), file=sys.stderr)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=_src_env(), timeout=60
+        )
+        assert json.loads(proc.stderr.splitlines()[-1]) == [11, True, 1, True]
 
 
 # every option of every subcommand, abbreviations, help, the separator and junk

@@ -6,13 +6,13 @@ from k3degen.cyclotomic import bounded_orders, euler_phi
 from k3degen.degeneration import (
     FIELD_CLASSES,
     INFINITE_HEIGHT,
+    KulikovType,
     allowed_m_from_type,
     allowed_types_from_height,
     allowed_types_from_m,
     combine,
     moduli_dim,
 )
-from k3degen.sncfiber import KulikovType
 
 import oracles
 

@@ -5,16 +5,15 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from k3degen.degeneration import KulikovType, grw_dims
 from k3degen.sncfiber import (
     KINDS,
-    KulikovType,
     MissingBetti,
     NotKulikov,
     SNCSurface,
     classify,
     crosscheck,
     e1_page,
-    grw_dims,
 )
 
 import oracles
