@@ -9,15 +9,14 @@ diagnostics go to stderr.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import gc
 import importlib.util
-import json
 import math
-import re
 import sys
-from json.encoder import c_make_encoder, encode_basestring_ascii
+import types
+from _json import encode_basestring_ascii, make_encoder  # the C encoder json.encoder re-exports, without json
+from collections.abc import Sequence
 
 
 def _lazy(name: str):
@@ -51,42 +50,23 @@ EXIT_BAD_INPUT = 1
 EXIT_CONSTRAINT = 2
 
 
-class _Parser(argparse.ArgumentParser):
-    def parse_args(self, args=None, namespace=None):
-        namespace = super().parse_args(args, namespace)
-        vars(namespace).pop("_given", None)  # _Once's record, not an argument
-        return namespace
+def _argparse():
+    """argparse, imported on first use: only help, usage lines and errors need it."""
+    import argparse
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_BAD_INPUT)
-
-
-class _Once(argparse.Action):
-    """Store an option's value; an option given twice is bad input, not 'the last one wins'.
-    Each parse fills a fresh namespace, so the options given so far are recorded there."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        given = vars(namespace).setdefault("_given", set())
-        if self.dest in given:
-            raise argparse.ArgumentError(self, "given more than once")
-        given.add(self.dest)
-        setattr(namespace, self.dest, values)
-
-
-# a JSON integer literal: no sign but -, no leading zero, no space, no _, ASCII digits only
-_INT_LITERAL = re.compile(r"-?(?:0|[1-9][0-9]*)")
+    return argparse
 
 
 def _int_literal(text: str) -> int:
-    """argparse's type for every integer option: the int that text spells as a JSON integer."""
-    if _INT_LITERAL.fullmatch(text):
+    """argparse's type for every integer option: the int that text spells as a JSON integer,
+    an optional - then ASCII digits, with no leading zero unless the number is 0."""
+    digits = text[1:] if text[:1] == "-" else text
+    if digits.isascii() and digits.isdigit() and (digits[0] != "0" or digits == "0"):
         try:
             return int(text)
         except ValueError:  # more digits than int() converts
             pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    raise _argparse().ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _reject_constant(name: str):
@@ -103,6 +83,8 @@ def _finite_float(text: str) -> float:
 def _read_payload(path: str):
     """The JSON payload at path (- for stdin); NaN, Infinity, overflowing numbers and
     nesting deeper than the decoder's recursion limit are rejected."""
+    import json
+
     try:
         if path == "-":
             return json.load(sys.stdin, parse_constant=_reject_constant, parse_float=_finite_float)
@@ -127,7 +109,7 @@ def _pretty(obj, depth: int = 0) -> str:
     """
     while len(_FLAT) <= depth + 1:
         _FLAT.append(
-            c_make_encoder(None, None, encode_basestring_ascii, None, ": ", ",\n" + "  " * len(_FLAT), True, False, True)
+            make_encoder(None, None, encode_basestring_ascii, None, ": ", ",\n" + "  " * len(_FLAT), True, False, True)
         )
     kind = type(obj)
     if kind not in _CONTAINERS:
@@ -241,7 +223,7 @@ def _cmd_allowed_types(args):
     elif height is not None:
         try:
             height = _int_literal(height)
-        except argparse.ArgumentTypeError:  # not an int that int() converts: refused as typed below
+        except _argparse().ArgumentTypeError:  # not an int that int() converts: refused as typed below
             pass
     result = degeneration.combine(m=args.m, e=args.field, h=height, residue_char=args.char)
     inputs = {"m": args.m, "field": args.field, "height": args.height, "char": args.char}
@@ -379,9 +361,18 @@ def _cmd_fixtures(args):
 
 
 def _arg(*flags, **options):
-    if flags[0].startswith("-"):
-        options["action"] = _Once
     return flags, options
+
+
+class _FieldClasses(Sequence):
+    """--field's choices, the names in degeneration.FIELD_CLASSES. Reading them runs
+    degeneration, so they are read only when a parser is built or a --field value checked."""
+
+    def __getitem__(self, index):
+        return list(degeneration.FIELD_CLASSES)[index]
+
+    def __len__(self):
+        return len(degeneration.FIELD_CLASSES)
 
 
 # Each subcommand once: name -> (help, handler, arguments), an argument being the
@@ -392,7 +383,7 @@ _COMMANDS = {
     )),
     "allowed-types": ("degeneration types allowed by given constraints", _cmd_allowed_types, (
         _arg("--m", type=_int_literal, help="order of the action on the 2-forms"),
-        _arg("--field", choices=list(degeneration.FIELD_CLASSES), help="Hodge endomorphism field class"),
+        _arg("--field", choices=_FieldClasses(), help="Hodge endomorphism field class"),
         _arg("--height", help="formal Brauer height: 1..10 or 'infinite'"),
         _arg("--char", type=_int_literal, help="residue characteristic, if known"),
     )),
@@ -427,29 +418,59 @@ _COMMANDS = {
 }
 
 
-def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    _, handler, arguments = _COMMANDS[name]
-    for flags, options in arguments:
-        parser.add_argument(*flags, **options)
-    parser.set_defaults(func=handler)
-    return parser
-
-
-# each parser is built once per process: _Parser.error looks up sys.stderr only when it reports
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def _parser_class():
+    """The CLI's ArgumentParser subclass, made on first use with argparse."""
+    argparse = _argparse()
+
+    class Once(argparse.Action):
+        """Store an option's value; an option given twice is bad input, not 'the last one wins'.
+        Each parse fills a fresh namespace, so the options given so far are recorded there."""
+
+        def __call__(self, parser, namespace, values, option_string=None):
+            given = vars(namespace).setdefault("_given", set())
+            if self.dest in given:
+                raise argparse.ArgumentError(self, "given more than once")
+            given.add(self.dest)
+            setattr(namespace, self.dest, values)
+
+    class Parser(argparse.ArgumentParser):
+        def parse_args(self, args=None, namespace=None):
+            namespace = super().parse_args(args, namespace)
+            vars(namespace).pop("_given", None)  # Once's record, not an argument
+            return namespace
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            print(f"error: {message}", file=sys.stderr)
+            raise SystemExit(EXIT_BAD_INPUT)
+
+        def add_command(self, name: str):
+            """Add subcommand name's arguments from _COMMANDS, each option taken once; return self."""
+            _, handler, arguments = _COMMANDS[name]
+            for flags, options in arguments:
+                self.add_argument(*flags, action=Once if flags[0].startswith("-") else "store", **options)
+            self.set_defaults(func=handler)
+            return self
+
+    return Parser
+
+
+# each parser is built once per process: Parser.error looks up sys.stderr only when it reports
+@functools.cache
+def build_parser():
     """The whole command tree, for -h, no arguments and unknown subcommands."""
-    parser = _Parser(prog="k3degen", description=__doc__)
+    parser = _parser_class()(prog="k3degen", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (help_, _, _) in _COMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=help_), name)
+        sub.add_parser(name, help=help_).add_command(name)
     return parser
 
 
 @functools.cache
-def _command_parser(name: str) -> argparse.ArgumentParser:
+def _command_parser(name: str):
     """The parser of one subcommand, the same one build_parser adds under that name."""
-    return _add_arguments(_Parser(prog=f"k3degen {name}"), name)
+    return _parser_class()(prog=f"k3degen {name}").add_command(name)
 
 
 @functools.cache
@@ -492,7 +513,7 @@ def _read_plain(name: str, argv):
             if convert is not None:
                 try:
                     value = convert(value)
-                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                except (_argparse().ArgumentTypeError, TypeError, ValueError):  # argparse reports it
                     return None
             if choices is not None and value not in choices:
                 return None
@@ -513,7 +534,7 @@ def _read_plain(name: str, argv):
         if not words or (len(words) > 1 and nargs != "+"):
             return None
         namespace[dest] = words if nargs == "+" else words[0]
-    return argparse.Namespace(**namespace)
+    return types.SimpleNamespace(**namespace)
 
 
 def run(argv) -> int:

@@ -10,9 +10,10 @@ from __future__ import annotations
 from . import _linalg
 from ._record import Record
 
-# Cap on the total rank: a Gram matrix holds rank**2 entries, and its one
-# elimination takes up to O(rank**3) Fraction steps. `k3degen lattice A200`
-# takes about 0.5 s end to end on a 2-vCPU Xeon with Python 3.11.
+# Cap on the total rank: a Gram matrix holds rank**2 entries, and each
+# symmetric elimination takes up to O(rank**3) Fraction steps; det and
+# signature run one each, so `k3degen lattice` runs two. `k3degen lattice
+# A200` takes about 0.5 s end to end on a 2-vCPU Xeon with Python 3.11.
 MAX_RANK = 200
 
 

@@ -358,6 +358,26 @@ class TestIntegerOptions:
         with pytest.raises(argparse.ArgumentTypeError, match="invalid int value: '1{5000}'"):
             _int_literal("1" * 5000)  # more digits than int() converts
 
+    @settings(derandomize=True, max_examples=400)
+    @given(st.text(st.sampled_from("-+0019_ \u0663\u00b2x"), max_size=5) | st.integers().map(str))
+    @example("")
+    @example("-")
+    @example("+1")
+    @example(" 1")
+    @example("1_0")
+    @example("\u0663")
+    @example("00")
+    @example("-01")
+    @example("-0")
+    @example("1" * 5000)
+    def test_int_literal_is_the_json_integer_rule(self, text):
+        if re.fullmatch(r"-?(?:0|[1-9][0-9]*)", text) and len(text.lstrip("-")) <= sys.get_int_max_str_digits():
+            assert _int_literal(text) == int(text)
+        else:
+            with pytest.raises(argparse.ArgumentTypeError) as raised:
+                _int_literal(text)
+            assert str(raised.value) == f"invalid int value: {text!r}"
+
     # the last has more digits than int() converts
     @pytest.mark.parametrize("height", [" 2", "2 ", "+2", "02", "\u0662", "2_0", pytest.param("1" + "0" * 5000, id="10**5000")])
     def test_height_is_infinite_or_a_json_integer(self, capsys, height):
@@ -990,6 +1010,43 @@ class TestColdStart:
         assert (result["passed"], result["total"]) == (12, 12)
         assert json.loads(proc.stderr.splitlines()[-1]) == [False, 0]
 
+    @pytest.mark.parametrize("argv, unloaded", [
+        (["orders", "--max-t", "20"], ["argparse", "gettext", "json", "re"]),
+        (["lattice", "K3"], ["argparse", "gettext", "json"]),  # its first det runs fractions, which imports re
+    ], ids=["orders", "lattice"])
+    def test_a_plain_argv_imports_no_argparse_or_json(self, argv, unloaded):
+        # as above, -I -S -B: without site nothing preloads re; the child imports no json to report
+        script = (
+            "import sys\n"
+            f"sys.path.insert(0, {SRC!r})\n"
+            "from k3degen.cli import run\n"
+            "code = run(sys.argv[1:])\n"
+            f"print(code, *sorted(set({unloaded!r}) & set(sys.modules)), file=sys.stderr)\n"
+        )
+        proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", script, *argv], capture_output=True, text=True, timeout=60)
+        assert json.loads(proc.stdout)["command"] == argv[0]
+        assert proc.stderr.splitlines()[-1] == "0"
+
+    _ORDERS_USAGE = "usage: k3degen orders [-h] [--max-t MAX_T] [--phi-bound PHI_BOUND]\n"
+
+    @pytest.mark.parametrize("argv, code, out, err", [
+        (["orders", "-h"], 0, _ORDERS_USAGE + (
+            "\noptions:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --max-t MAX_T         totient bound for prime powers\n"
+            "  --phi-bound PHI_BOUND\n"
+            "                        totient bound for all orders\n"
+        ), ""),
+        (["orders", "--max-t", "x"], 1, "", _ORDERS_USAGE + "error: argument --max-t: invalid int value: 'x'\n"),
+    ], ids=["help", "error"])
+    def test_help_and_errors_import_argparse_on_first_use(self, argv, code, out, err):
+        script = f"import sys\nsys.path.insert(0, {SRC!r})\nfrom k3degen.cli import run\nsys.exit(run(sys.argv[1:]))\n"
+        proc = subprocess.run(
+            [sys.executable, "-I", "-S", "-B", "-c", script, *argv],
+            capture_output=True, text=True, env={**os.environ, "COLUMNS": "80"}, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
     def test_a_subcommand_builds_only_its_own_parser(self):
         # in process the tests have long built the whole tree; a fresh interpreter has not
         script = (
@@ -1021,15 +1078,17 @@ class TestColdStart:
         )
         fibers = tmp_path / "fibers.json"
         fibers.write_text(json.dumps({"fibers": ["I1"] * 24}))
-        base = ["_record", "autorders", "cli", "cyclotomic", "degeneration"]  # degeneration names --field's choices
+        arithmetic = ["_record", "autorders", "cli", "cyclotomic"]
         commands = [
-            (["orders", "--max-t", "20"], base),
-            (["orders", "--phi-bound", "4"], base),
-            (["charpoly", "--m", "3", "--t-rank", "2"], base),
-            (["ss-check", "--m", "5", "--p", "2"], base),
-            (["allowed-types", "--m", "4", "--field", "rational", "--height", "2", "--char", "3"], base),
-            (["euler", str(fibers), "--characteristic", "5"], base + ["elliptic"]),
-            (["lattice", "K3", "A2"], base + ["_linalg", "lattice"]),
+            (["orders", "--max-t", "20"], arithmetic),
+            (["orders", "--phi-bound", "4"], ["_record", "cli", "cyclotomic"]),
+            (["charpoly", "--m", "3", "--t-rank", "2"], arithmetic),
+            (["ss-check", "--m", "5", "--p", "2"], arithmetic),
+            # the plain reader reads --field's choices from degeneration, which the handler runs anyway
+            (["allowed-types", "--m", "4", "--field", "rational", "--height", "2", "--char", "3"], arithmetic + ["degeneration"]),
+            (["euler", str(fibers)], ["cli", "elliptic"]),
+            (["euler", str(fibers), "--characteristic", "5"], arithmetic + ["elliptic"]),
+            (["lattice", "K3", "A2"], ["_linalg", "_record", "cli", "lattice"]),
         ]
         _workloads()  # puts bench/ on sys.path
         import spans
