@@ -18,6 +18,8 @@ import types
 from _json import encode_basestring_ascii, make_encoder  # the C encoder json.encoder re-exports, without json
 from collections.abc import Sequence
 
+from . import Refusal
+
 
 def _lazy(name: str):
     """The module k3degen.<name>, put in sys.modules and on the package as an import
@@ -206,8 +208,8 @@ def _cmd_classify_fiber(args):
     inputs = _echo_surface(surface)
     try:
         t, check = sncfiber.crosscheck(surface)
-    except sncfiber.NotKulikov as exc:
-        return inputs, _refusal(exc), f"not a Kulikov fiber: {exc}", EXIT_CONSTRAINT
+    except Refusal as exc:
+        return inputs, _refusal(exc), f"{exc.summary_prefix}{exc}", EXIT_CONSTRAINT
     result = {"type": str(t), "grw": list(degeneration.grw_dims(t)), "crosscheck": check}
     if None not in surface.b2:
         result["e1"] = [{"p": p, "dims": row} for p, row in zip(range(-2, 3), sncfiber.e1_page(surface))]
@@ -273,13 +275,13 @@ def _cmd_ss_check(args):
 
 def _cmd_orient(args):
     payload = _read_payload(args.payload)
-    dualcomplex._known_fields(ValueError, payload, ("vertices", "edges", "triangles", "automorphism"))
+    dualcomplex._known_fields(payload, ("vertices", "edges", "triangles", "automorphism"))
     complex_ = dualcomplex.DeltaComplex.from_json_dict(payload)
     inputs = complex_.to_json_dict()
     try:
         orientation = dualcomplex.orient(complex_)
-    except dualcomplex.NonOrientable as exc:
-        return inputs, _refusal(exc), f"non-orientable: {exc}", EXIT_CONSTRAINT
+    except Refusal as exc:
+        return inputs, _refusal(exc), f"{exc.summary_prefix}{exc}", EXIT_CONSTRAINT
     result = {
         "orientable": True,
         "orientation": [
@@ -306,8 +308,8 @@ def _cmd_euler(args):
     inputs = {"fibers": config.to_json_dict(), "characteristic": args.characteristic}
     try:
         rank = config.trivial_lattice_rank()
-    except elliptic.ImpossibleConfiguration as exc:
-        return inputs, _refusal(exc), str(exc), EXIT_CONSTRAINT
+    except Refusal as exc:
+        return inputs, _refusal(exc), f"{exc.summary_prefix}{exc}", EXIT_CONSTRAINT
     result = {
         "euler_sum": config.euler_sum(),
         "is_k3": config.check_k3(),
@@ -552,19 +554,11 @@ def run(argv) -> int:
     try:
         inputs, result, summary, code = args.func(args)
         _emit(command, inputs, result)
-    # the second tuple is read only when an exception reaches it, so that reading it
-    # runs no module the command left unrun
     except (ValueError, OSError) as exc:
-        return _input_error(exc)
-    except (dualcomplex.InvalidComplex, sncfiber.MissingBetti) as exc:
-        return _input_error(exc)
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     print(summary, file=sys.stderr)
     return code
-
-
-def _input_error(exc: Exception) -> int:
-    print(f"error: {exc}", file=sys.stderr)
-    return EXIT_BAD_INPUT
 
 
 def main() -> None:

@@ -15,7 +15,7 @@ from types import MappingProxyType
 from ._record import Record
 
 
-class NotCyclotomicProduct(Exception):
+class NotCyclotomicProduct(ValueError):
     """Raised when a monic integer polynomial has a non-cyclotomic factor."""
 
 

@@ -21,8 +21,7 @@ from __future__ import annotations
 import enum
 from functools import lru_cache
 
-from .autorders import is_prime
-from .cyclotomic import bounded_orders
+from . import autorders, cyclotomic
 
 
 class KulikovType(enum.Enum):
@@ -86,7 +85,7 @@ def allowed_m_from_type(t: KulikovType) -> frozenset[int]:
     gives {1, 2, 3, 4, 6}, and Type I (d_2 = 22) the 20 bound alone.
     """
     d_top = next(d for d in reversed(grw_dims(t)) if d)
-    return frozenset(bounded_orders(min(d_top, 20)))
+    return frozenset(cyclotomic.bounded_orders(min(d_top, 20)))
 
 
 def allowed_types_from_height(h) -> frozenset[KulikovType]:
@@ -126,7 +125,7 @@ def combine(m=None, e=None, h=None, residue_char=None) -> dict:
     """
     if m is None and e is None and h is None:
         raise ValueError("at least one of m, e, h is required")
-    if residue_char is not None and not is_prime(residue_char):
+    if residue_char is not None and not autorders.is_prime(residue_char):
         raise ValueError(f"residue characteristic must be a prime, got {residue_char}")
     if residue_char == 2:
         return {
@@ -158,7 +157,7 @@ def combine(m=None, e=None, h=None, residue_char=None) -> dict:
 def moduli_dim(p: int, rank_s: int) -> int:
     """Dimension of the moduli ball for order-p pairs with invariant lattice
     of the given rank: (22 - rank_s) / (p - 1) - 1."""
-    if not is_prime(p) or not 3 <= p <= 19:
+    if not autorders.is_prime(p) or not 3 <= p <= 19:
         raise ValueError(f"p must be a prime in 3..19, got {p}")
     if not 1 <= rank_s <= 21:
         raise ValueError(f"rank_s must lie in 1..21, got {rank_s}")

@@ -17,59 +17,61 @@ from __future__ import annotations
 
 from collections import Counter
 
-from . import _linalg
+from . import Refusal, _linalg
 
 
-class InvalidComplex(Exception):
-    """Raised when incidence data does not describe a Delta-complex."""
+class InvalidComplex(ValueError):
+    """Raised when a payload or incidence data does not describe a Delta-complex or an SNC fiber."""
 
 
-class NonOrientable(Exception):
+class NonOrientable(Refusal):
     """Raised when orientation propagation reaches a contradiction."""
+
+    summary_prefix = "non-orientable: "
 
 
 _ID_TYPES = frozenset((str, int))
 
 
-def _require_json_ids(error, *groups):
-    """Raise error unless every id in the lists is a JSON string or integer:
+def _require_json_ids(*groups):
+    """Raise InvalidComplex unless every id in the lists is a JSON string or integer:
     Python equality would let JSON true and 2.0 stand for the ids 1 and 2."""
     for ids in groups:
         if not _ID_TYPES.issuperset(map(type, ids)):
             bad = next(x for x in ids if type(x) not in _ID_TYPES)
-            raise error(f"id {bad!r} is not a JSON string or integer")
+            raise InvalidComplex(f"id {bad!r} is not a JSON string or integer")
 
 
-def _known_fields(error, data, names):
-    """Raise error naming the first field of the payload object data, in payload
+def _known_fields(data, names):
+    """Raise InvalidComplex naming the first field of the payload object data, in payload
     order, that is not in names; a payload that is not an object passes here."""
     for key in data if type(data) is dict else ():
         if key not in names:
-            raise error(f"payload has unknown field {key!r}")
+            raise InvalidComplex(f"payload has unknown field {key!r}")
 
 
-def _section(error, data, name):
+def _section(data, name):
     """The JSON array data[name] of a payload object; a name ending in ? may be absent, reading []."""
     if type(data) is not dict:
-        raise error(f"payload must be a JSON object, got {data!r}")
+        raise InvalidComplex(f"payload must be a JSON object, got {data!r}")
     key = name.rstrip("?")
     if key not in data:
         if key == name:
-            raise error(f"payload has no field {key!r}")
+            raise InvalidComplex(f"payload has no field {key!r}")
         return []
     if type(data[key]) is not list:
-        raise error(f"{key} must be a JSON array, got {data[key]!r}")
+        raise InvalidComplex(f"{key} must be a JSON array, got {data[key]!r}")
     return data[key]
 
 
-def _read(error, data, section, fields, absent=None):
+def _read(data, section, fields, absent=None):
     """The cells of the JSON array data[section] as one list per field, then None. A
     field x? may be absent, reading absent; a field x[] must be a JSON array. When a
     cell is not a JSON object, a field is missing or not an array, or the cell has a
-    field not in fields, the lists stop before that cell, and the error naming its
+    field not in fields, the lists stop before that cell, and the InvalidComplex naming its
     section, index and field comes in place of None: the caller checks the values of
     the cells before it, then raises it, so that faults are reported cell by cell."""
-    cells = _section(error, data, section)
+    cells = _section(data, section)
     section, specs = section.rstrip("?"), [(f, f.rstrip("?").removesuffix("[]")) for f in fields]
 
     def columns(cells):
@@ -95,15 +97,15 @@ def _read(error, data, section, fields, absent=None):
     names = {n for _, n in specs}
     for k, cell in enumerate(cells):
         if type(cell) is not dict:
-            return columns(cells[:k]), error(f"{section}[{k}] must be a JSON object, got {cell!r}")
+            return columns(cells[:k]), InvalidComplex(f"{section}[{k}] must be a JSON object, got {cell!r}")
         for f, n in specs:
             if n not in cell and f[-1] != "?":
-                return columns(cells[:k]), error(f"{section}[{k}] has no field {n!r}")
+                return columns(cells[:k]), InvalidComplex(f"{section}[{k}] has no field {n!r}")
             if n in cell and "[]" in f and type(cell[n]) is not list:
-                return columns(cells[:k]), error(f"{section}[{k}].{n} must be a JSON array, got {cell[n]!r}")
+                return columns(cells[:k]), InvalidComplex(f"{section}[{k}].{n} must be a JSON array, got {cell[n]!r}")
         for key in cell:
             if key not in names:
-                return columns(cells[:k]), error(f"{section}[{k}] has unknown field {key!r}")
+                return columns(cells[:k]), InvalidComplex(f"{section}[{k}] has unknown field {key!r}")
     return out, None
 
 
@@ -329,18 +331,17 @@ class DeltaComplex:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DeltaComplex":
-        vertices = _section(InvalidComplex, data, "vertices")
-        (eids, ends), fault = _read(InvalidComplex, data, "edges", ("id", "v[]"))
+        vertices = _section(data, "vertices")
+        (eids, ends), fault = _read(data, "edges", ("id", "v[]"))
         if fault:
             raise fault
         (tids, corners, sides, signs), fault = _read(
-            InvalidComplex, data, "triangles", ("id", "vertices[]", "edges[]", "signs[]?"), (None,) * 3
+            data, "triangles", ("id", "vertices[]", "edges[]", "signs[]?"), (None,) * 3
         )
         if fault:
             raise fault
         # before the repeat checks, which hash the ids
         _require_json_ids(
-            InvalidComplex,
             vertices,
             [x for eid, pair in zip(eids, ends) for x in (eid, *pair)],
             [x for cell in zip(tids, corners, sides) for x in (cell[0], *cell[1], *cell[2])],

@@ -13,8 +13,10 @@ import re
 import sys
 from collections import Counter
 
+from . import Refusal
 
-class ImpossibleConfiguration(Exception):
+
+class ImpossibleConfiguration(Refusal):
     """Raised when a fiber configuration cannot live on a K3 surface."""
 
 

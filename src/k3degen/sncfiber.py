@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 
+from . import Refusal
 from .degeneration import _GRW_TABLE, KulikovType
 from .dualcomplex import _ID_TYPES, DeltaComplex, _known_fields, _read, _require_json_ids, sphere_failure
 
@@ -21,12 +22,10 @@ KINDS = ("rational", "elliptic_ruled", "k3")
 _NO_ID = object()  # a triple point given without an id is named t<k>, k its index
 
 
-class NotKulikov(Exception):
+class NotKulikov(Refusal):
     """Raised when a fiber matches none of the three Kulikov patterns."""
 
-
-class MissingBetti(Exception):
-    """Raised when an operation needs b2 data that a component lacks."""
+    summary_prefix = "not a Kulikov fiber: "
 
 
 class SNCSurface:
@@ -96,8 +95,8 @@ class SNCSurface:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SNCSurface":
-        _known_fields(ValueError, data, ("components", "double_curves", "triple_points"))
-        (ids, b1, b2, kinds), fault = _read(ValueError, data, "components", ("id", "b1", "b2?", "kind?"))
+        _known_fields(data, ("components", "double_curves", "triple_points"))
+        (ids, b1, b2, kinds), fault = _read(data, "components", ("id", "b1", "b2?", "kind?"))
         for cid, x, y, kind in zip(ids, b1, b2, kinds):
             # JSON true and 2.0 are not integers, however Python compares them
             if type(x) is not int:
@@ -110,7 +109,7 @@ class SNCSurface:
                 raise ValueError(f"component {cid!r}: unknown kind {kind!r}")
         if fault:
             raise fault
-        (curve_ids, pairs, genus), fault = _read(ValueError, data, "double_curves", ("id", "components[]", "genus"))
+        (curve_ids, pairs, genus), fault = _read(data, "double_curves", ("id", "components[]", "genus"))
         for cid, pair, g in zip(curve_ids, pairs, genus):
             if len(pair) != 2 or pair[0] == pair[1]:
                 raise ValueError(f"double curve {cid!r} must join two distinct components")
@@ -120,7 +119,7 @@ class SNCSurface:
                 raise ValueError(f"double curve {cid!r}: genus must be nonnegative")
         if fault:
             raise fault
-        (given, on), fault = _read(ValueError, data, "triple_points?", ("id?", "curves[]"), _NO_ID)
+        (given, on), fault = _read(data, "triple_points?", ("id?", "curves[]"), _NO_ID)
         point_ids = [f"t{t}" if pid is _NO_ID else pid for t, pid in enumerate(given)]
         for pid, c in zip(point_ids, on):
             if len(c) != 3 or c[0] == c[1] or c[1] == c[2] or c[0] == c[2]:
@@ -132,7 +131,6 @@ class SNCSurface:
         if not all(_ID_TYPES.issuperset(map(type, column)) for column in (ids, curve_ids, ends, point_ids, point_curves)):
             # the first offending id, in payload order
             _require_json_ids(
-                ValueError,
                 ids,
                 [x for k, cid in enumerate(curve_ids) for x in (cid, *ends[2 * k:2 * k + 2])],
                 [x for t, pid in enumerate(point_ids) for x in (pid, *point_curves[3 * t:3 * t + 3])],
@@ -255,7 +253,7 @@ def e1_page(s: SNCSurface) -> list[list[int]]:
     on every component.
     """
     if None in s.b2:
-        raise MissingBetti(f"component {s.component_ids[s.b2.index(None)]!r} has no b2")
+        raise ValueError(f"component {s.component_ids[s.b2.index(None)]!r} has no b2")
     # codim-0 stratum: disjoint smooth proper surfaces, so b3 = b1, b4 = b0
     n, c, t, b1, g2 = len(s.component_ids), len(s.curve_ids), len(s.point_ids), sum(s.b1), 2 * sum(s.genus)
     return [

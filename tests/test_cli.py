@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import re
@@ -18,7 +19,7 @@ from k3degen.cli import _int_literal, _pretty, build_parser, run
 from k3degen.degeneration import FIELD_CLASSES
 from k3degen.dualcomplex import DeltaComplex
 from k3degen.sncfiber import KINDS, SNCSurface
-from test_dualcomplex import generated_complexes
+from test_dualcomplex import generated_complexes, open_triangle
 from test_workload_digests import SEEDS, _workloads
 
 import oracles
@@ -543,6 +544,21 @@ class TestOrientCommand:
         assert code == 2
         assert json.loads(out)["result"]["error"]["constraint"] == "NonOrientable"
 
+    @pytest.mark.parametrize("complex_, message", [
+        (lambda: DeltaComplex(["a", "b", "c"], {}, {}), "nothing to orient: no triangles"),
+        # test_dualcomplex's tetrahedron_and_lonely_vertex and wedge_of_tetrahedra, with string edge and triangle ids
+        (lambda: oracles._simplicial(5, itertools.combinations(range(4), 3)), "orientation requires a connected complex"),
+        (open_triangle, "edge 'e0' lies on 1 triangle sides, expected 2"),
+        (
+            lambda: oracles._simplicial(7, [*itertools.combinations(range(4), 3), *itertools.combinations((0, 4, 5, 6), 3)]),
+            "triangles not connected through shared edges",
+        ),
+    ], ids=["no-triangles", "disconnected", "open-edge", "wedge"])
+    def test_a_complex_orient_cannot_read_is_bad_input(self, capsys, tmp_path, complex_, message):
+        path = payload_file(tmp_path, "complex.json", complex_().to_json_dict())
+        code, out, err = invoke(capsys, ["orient", path])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_bad_loop_sign_is_bad_input(self, capsys, tmp_path):
         torus = {
             "vertices": ["v"],
@@ -967,7 +983,7 @@ class TestHandlers:
 
 class TestColdStart:
     def test_package_import_loads_no_module(self):
-        # the package exports only __version__: each name is imported from its module
+        # the package exports only __version__ and Refusal: each other name is imported from its module
         script = "import json, sys\nimport k3degen\nprint(json.dumps(sorted(n for n in sys.modules if 'k3degen' in n)))\n"
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, env=_src_env(), timeout=60
@@ -1078,27 +1094,36 @@ class TestColdStart:
         )
         fibers = tmp_path / "fibers.json"
         fibers.write_text(json.dumps({"fibers": ["I1"] * 24}))
+        quartic = payload_file(tmp_path, "quartic.json", json.loads(QUARTIC.read_text())["surface"])
+        # a bad input or a refusal runs no module beyond those the command has read by then
+        not_kulikov = payload_file(tmp_path, "b1.json", {"components": [{"id": "X", "b1": 1}], "double_curves": []})
+        no_triangles = payload_file(tmp_path, "flat.json", {"vertices": ["a", "b", "c"], "edges": [], "triangles": []})
         arithmetic = ["_record", "autorders", "cli", "cyclotomic"]
+        fiber = ["cli", "degeneration", "dualcomplex", "sncfiber"]
         commands = [
-            (["orders", "--max-t", "20"], arithmetic),
-            (["orders", "--phi-bound", "4"], ["_record", "cli", "cyclotomic"]),
-            (["charpoly", "--m", "3", "--t-rank", "2"], arithmetic),
-            (["ss-check", "--m", "5", "--p", "2"], arithmetic),
+            (["orders", "--max-t", "20"], 0, arithmetic),
+            (["orders", "--phi-bound", "4"], 0, ["_record", "cli", "cyclotomic"]),
+            (["charpoly", "--m", "3", "--t-rank", "2"], 0, arithmetic),
+            (["ss-check", "--m", "5", "--p", "2"], 0, arithmetic),
             # the plain reader reads --field's choices from degeneration, which the handler runs anyway
-            (["allowed-types", "--m", "4", "--field", "rational", "--height", "2", "--char", "3"], arithmetic + ["degeneration"]),
-            (["euler", str(fibers)], ["cli", "elliptic"]),
-            (["euler", str(fibers), "--characteristic", "5"], arithmetic + ["elliptic"]),
-            (["lattice", "K3", "A2"], ["_linalg", "_record", "cli", "lattice"]),
+            (["allowed-types", "--m", "4", "--field", "rational", "--height", "2", "--char", "3"], 0, arithmetic + ["degeneration"]),
+            (["allowed-types", "--field", "rational"], 0, ["cli", "degeneration"]),
+            (["euler", str(fibers)], 0, ["cli", "elliptic"]),
+            (["euler", str(fibers), "--characteristic", "5"], 0, arithmetic + ["elliptic"]),
+            (["lattice", "K3", "A2"], 0, ["_linalg", "_record", "cli", "lattice"]),
+            (["classify-fiber", quartic], 0, ["_linalg", *fiber]),  # _linalg for the crosscheck's h2
+            (["classify-fiber", not_kulikov], 2, fiber),
+            (["orient", no_triangles], 1, ["cli", "dualcomplex"]),
         ]
         _workloads()  # puts bench/ on sys.path
         import spans
 
-        for argv, modules in commands:
+        for argv, expected, modules in commands:
             proc = subprocess.run(
                 [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=_src_env(), timeout=60
             )
             code, registered, ran = json.loads(proc.stderr.splitlines()[-1])
-            assert code == 0, argv
+            assert code == expected, argv
             # the benchmark's tracer looks each module up in sys.modules
             assert {f"k3degen.{m}" for m in spans.MODULES} <= set(registered)
             assert ran == sorted(f"k3degen.{m}" for m in modules), argv
