@@ -59,16 +59,24 @@ def _argparse():
     return argparse
 
 
-def _int_literal(text: str) -> int:
-    """argparse's type for every integer option: the int that text spells as a JSON integer,
-    an optional - then ASCII digits, with no leading zero unless the number is 0."""
+def _json_int(text: str) -> int | None:
+    """The int that text spells as a JSON integer, an optional - then ASCII digits, with no
+    leading zero unless the number is 0; None for any other text."""
     digits = text[1:] if text[:1] == "-" else text
     if digits.isascii() and digits.isdigit() and (digits[0] != "0" or digits == "0"):
         try:
             return int(text)
         except ValueError:  # more digits than int() converts
             pass
-    raise _argparse().ArgumentTypeError(f"invalid int value: {text!r}")
+    return None
+
+
+def _int_literal(text: str) -> int:
+    """argparse's type for every integer option: the JSON integer text spells."""
+    value = _json_int(text)
+    if value is None:
+        raise _argparse().ArgumentTypeError(f"invalid int value: {text!r}")
+    return value
 
 
 def _reject_constant(name: str):
@@ -89,6 +97,8 @@ def _read_payload(path: str):
 
     try:
         if path == "-":
+            if sys.stdin is None:  # the interpreter started with fd 0 closed
+                raise ValueError("payload is stdin, but stdin is closed")
             return json.load(sys.stdin, parse_constant=_reject_constant, parse_float=_finite_float)
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle, parse_constant=_reject_constant, parse_float=_finite_float)
@@ -177,11 +187,38 @@ def _too_long(result: dict) -> ValueError:
             return ValueError(f"result field {field} has an integer of more than {limit} digits, too long to print")
 
 
+def _classified(result: dict) -> str:
+    """An accepted classify-fiber result exactly as _pretty(result, 1) prints it, from one
+    template: _cmd_classify_fiber builds each with the same keys and shapes, so only the
+    scalars vary. An int with more digits than str() prints raises ValueError, as in _pretty."""
+    text, truth, i6, i8, i10 = encode_basestring_ascii, ("false", "true"), " " * 6, " " * 8, " " * 10
+    check = result["crosscheck"]
+    checks = f",\n{i8}".join(
+        f'{{\n{i10}"detail": {text(c["detail"])},\n{i10}"name": {text(c["name"])},'
+        f'\n{i10}"passed": {truth[c["passed"]]}\n{i8}}}'
+        for c in check["checks"]
+    )
+    rows = f",\n{i6}".join(
+        f'{{\n{i8}"dims": [\n{i10}' + f",\n{i10}".join(map(int.__repr__, row["dims"]))
+        + f'\n{i8}],\n{i8}"p": {int.__repr__(row["p"])}\n{i6}}}'
+        for row in result.get("e1", ())
+    )
+    return (
+        f'{{\n    "crosscheck": {{\n{i6}"all_passed": {truth[check["all_passed"]]},'
+        f'\n{i6}"checks": [\n{i8}{checks}\n{i6}],\n{i6}"type": {text(check["type"])}\n    }},\n    '
+        + (f'"e1": [\n{i6}{rows}\n    ],\n    ' if "e1" in result else "")
+        + f'"grw": [\n{i6}' + f",\n{i6}".join(map(int.__repr__, result["grw"]))
+        + f'\n    ],\n    "type": {text(result["type"])}\n  }}'
+    )
+
+
 def _emit(command: str, inputs, result) -> None:
-    """Print the report; inputs is a JSON value, or its text as _pretty(inputs, 1) prints it."""
+    """Print the report; inputs is a JSON value, or its text as _pretty(inputs, 1) prints it.
+    An accepted classify-fiber result is printed from _classified's template."""
     echo = inputs if type(inputs) is str else _pretty(inputs, 1)
     try:
-        body = _pretty(result, 1)
+        accepted = command == "classify-fiber" and "error" not in result
+        body = _classified(result) if accepted else _pretty(result, 1)
     except ValueError:  # an int with more digits than str() prints
         raise _too_long(result) from None
     command = encode_basestring_ascii(command)
@@ -223,10 +260,8 @@ def _cmd_allowed_types(args):
     if height in ("inf", "infinite"):
         height = degeneration.INFINITE_HEIGHT
     elif height is not None:
-        try:
-            height = _int_literal(height)
-        except _argparse().ArgumentTypeError:  # not an int that int() converts: refused as typed below
-            pass
+        number = _json_int(height)
+        height = height if number is None else number  # any other text is refused as typed below
     result = degeneration.combine(m=args.m, e=args.field, h=height, residue_char=args.char)
     inputs = {"m": args.m, "field": args.field, "height": args.height, "char": args.char}
     summary = result["status"] if "status" in result else f"allowed types: {result['allowed']}"

@@ -9,6 +9,8 @@ import shutil
 import subprocess
 import sys
 import time
+import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -192,6 +194,20 @@ class TestClassifyFiber:
         assert invoke(capsys, [command, str(path)]) == (1, "", "error: payload nests too deeply\n")
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         assert invoke(capsys, [command, "-"]) == (1, "", "error: payload nests too deeply\n")
+
+    @pytest.mark.parametrize("command", ["classify-fiber", "orient", "euler"])
+    def test_closed_stdin_is_bad_input(self, capsys, monkeypatch, command):
+        # an interpreter started with fd 0 closed has no sys.stdin
+        monkeypatch.setattr("sys.stdin", None)
+        assert invoke(capsys, [command, "-"]) == (1, "", "error: payload is stdin, but stdin is closed\n")
+
+    @pytest.mark.parametrize("command", ["classify-fiber", "orient", "euler"])
+    def test_closed_stdin_in_a_child_is_bad_input(self, command):
+        proc = subprocess.run(
+            [sys.executable, "-m", "k3degen.cli", command, "-"],
+            capture_output=True, text=True, env=_src_env(), timeout=60, preexec_fn=lambda: os.close(0),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: payload is stdin, but stdin is closed\n")
 
     def test_awkward_ids_round_trip(self, capsys, tmp_path):
         # brackets, quotes, a backslash, a newline and non-ASCII in every id
@@ -1026,11 +1042,14 @@ class TestColdStart:
         assert (result["passed"], result["total"]) == (12, 12)
         assert json.loads(proc.stderr.splitlines()[-1]) == [False, 0]
 
-    @pytest.mark.parametrize("argv, unloaded", [
-        (["orders", "--max-t", "20"], ["argparse", "gettext", "json", "re"]),
-        (["lattice", "K3"], ["argparse", "gettext", "json"]),  # its first det runs fractions, which imports re
-    ], ids=["orders", "lattice"])
-    def test_a_plain_argv_imports_no_argparse_or_json(self, argv, unloaded):
+    @pytest.mark.parametrize("argv, error, unloaded", [
+        (["orders", "--max-t", "20"], None, ["argparse", "gettext", "json", "re"]),
+        (["lattice", "K3"], None, ["argparse", "gettext", "json"]),  # its first det runs fractions, which imports re
+        # a height that is no integer is the handler's input error, not argparse's
+        (["allowed-types", "--height", "abc"], "error: height must be an integer in 1..10 or infinite, got 'abc'",
+         ["argparse", "gettext", "json", "re"]),
+    ], ids=["orders", "lattice", "bad-height"])
+    def test_a_plain_argv_imports_no_argparse_or_json(self, argv, error, unloaded):
         # as above, -I -S -B: without site nothing preloads re; the child imports no json to report
         script = (
             "import sys\n"
@@ -1040,8 +1059,11 @@ class TestColdStart:
             f"print(code, *sorted(set({unloaded!r}) & set(sys.modules)), file=sys.stderr)\n"
         )
         proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", script, *argv], capture_output=True, text=True, timeout=60)
-        assert json.loads(proc.stdout)["command"] == argv[0]
-        assert proc.stderr.splitlines()[-1] == "0"
+        if error is None:
+            assert json.loads(proc.stdout)["command"] == argv[0]
+            assert proc.stderr.splitlines()[-1] == "0"
+        else:
+            assert (proc.stdout, proc.stderr.splitlines()[-2:]) == ("", [error, "1"])
 
     _ORDERS_USAGE = "usage: k3degen orders [-h] [--max-t MAX_T] [--phi-bound PHI_BOUND]\n"
 
@@ -1412,6 +1434,46 @@ class TestFiberPaths:
             assert getattr(fast, attr) == getattr(checked, attr), attr
         for attr in ("edges", "triangles", "triangle_signs"):  # the same entries in the same order
             assert list(getattr(fast, attr).items()) == list(getattr(checked, attr).items()), attr
+
+
+def _kulikov_leaning(payload, every_b2):
+    """payload with each b1 and genus as the Kulikov pattern its strata could fit asks, and no kinds:
+    with triple points Type III's, else Type I's or a Type II chain's (b1 = 2 on a component two
+    curves meet); with every_b2, a missing b2 is 22. The strata stay as drawn, so many fibers still
+    match no pattern."""
+    points = bool(payload.get("triple_points"))
+    meets = Counter(x for curve in payload["double_curves"] for x in curve["components"])
+    components = []
+    for c in payload["components"]:
+        component = {key: value for key, value in c.items() if key != "kind"}
+        component["b1"] = 0 if points or meets[c["id"]] < 2 else 2
+        if every_b2:
+            component.setdefault("b2", 22)
+        components.append(component)
+    curves = [{**curve, "genus": 0 if points else 1} for curve in payload["double_curves"]]
+    return {**payload, "components": components, "double_curves": curves}
+
+
+class TestClassifiedTemplate:
+    """_emit prints an accepted classify-fiber result from _classified's template, not _pretty."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(fiber_payloads(), st.data())
+    def test_template_matches_pretty(self, tmp_path_factory, drawn, data):
+        path = tmp_path_factory.getbasetemp() / "fiber.json"
+        path.write_text(json.dumps(_kulikov_leaning(drawn[0], data.draw(st.booleans()))))
+        _, result, _, code = cli._cmd_classify_fiber(types.SimpleNamespace(payload=str(path)))
+        assume(code == 0)
+        # the checks' strings and flags as any text and bool, so the template does not rely on today's ASCII details
+        check = result["crosscheck"]
+        awkward = [{"detail": data.draw(_TEXT), "name": data.draw(_TEXT), "passed": data.draw(st.booleans())}
+                   for _ in check["checks"]]
+        awkward = {**result, "crosscheck": {**check, "checks": awkward, "all_passed": data.draw(st.booleans())}}
+        # with and without e1, which is printed only when every b2 is given
+        for shown in (result, awkward):
+            assert cli._classified(shown) == _pretty(shown, 1)
+            without_e1 = {key: value for key, value in shown.items() if key != "e1"}
+            assert cli._classified(without_e1) == _pretty(without_e1, 1)
 
 
 class TestPachnerFibers:
